@@ -12,12 +12,9 @@ Gaussian surrogate simulation (montecarlo).
 from .closedloop import (
     ClosedLoopSolution,
     bellman_value,
-    cost,
     decoherence_time,
-    deviation,
     min_cost_identity,
     moment_rhs,
-    pontryagin_hamiltonian,
     solve_closed_loop,
 )
 from .control import (
@@ -58,7 +55,6 @@ from .montecarlo import (
     GainSchedule,
     SampleMoments,
     SurrogatePath,
-    SurrogateState,
     cross_moment_check,
     derive_path_seed,
     gain_schedule,

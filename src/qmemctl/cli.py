@@ -11,7 +11,8 @@ Commands (one per invocation):
     full         everything above, one CSV per stage plus summary.json
 
 Scenario files are JSON with matrices as row-major nested (or flat) arrays;
-see README for the schema.  Numbers are emitted with 17 significant digits,
+the fields and their defaults are listed in `load_scenario`'s docstring, and
+scenarios/reference.json is a complete example.  Numbers are emitted with 17 significant digits,
 so reruns with identical configuration produce byte-identical artifacts.
 """
 
@@ -106,9 +107,12 @@ _KNOWN_KEYS = {
 def load_scenario(path) -> model.ScenarioSpec:
     """Load and normalize a scenario JSON file.
 
-    Applies documented defaults: mean0 = 0, cov0 = I/2, steps = 2000 per
-    unit of tau (rounded up).  d, r, s are inferred from N, D, F when not
-    given and cross-checked when they are.  Raises ScenarioFormatError with
+    Required fields: n, m, R (n x n), M (m x n), D (r x m), F (s x n), tau.
+    Optional: d, r, s, N (d x n; required when d >= 1), Pi (d x d; required
+    when d >= 1), mean0 (n), cov0 (n x n), steps.  Applies defaults:
+    mean0 = 0, cov0 = I/2, steps = 2000 per unit of tau (rounded up).  d, r,
+    s are inferred from N, D, F when not given and cross-checked when they
+    are.  Raises ScenarioFormatError with
     field context for anything malformed.
     """
     path = Path(path)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import control_rhs_full
 from .errors import GridMismatchError
-from .ode import TimeGrid, integrate_matrix_ode, sample_grid
+from .ode import TimeGrid, congruence, integrate_matrix_ode, sample_grid
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
 def moment_rhs(T: np.ndarray, c_t: np.ndarray, K_t: np.ndarray, sys) -> np.ndarray:
     """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K'."""
     a_cl = sys.sA + sys.sE @ c_t
-    return a_cl @ T + T @ a_cl.T + K_t @ sys.G @ K_t.T
+    return a_cl @ T + T @ a_cl.T + congruence(K_t, sys.G)
 
 
 def solve_closed_loop(
@@ -113,11 +114,8 @@ def solve_closed_loop(
 
     # Pontryagin Hamiltonian at the nodes, using the optimal Riccati solution.
     q = control_sol.Q_full
-    pi_inv = np.linalg.inv(pi)
-    se_pi_set = sys.sE @ pi_inv @ sys.sE.T
-    q_dot = q @ se_pi_set @ q - sys.sA.T @ q - q @ sys.sA
-    kg = filter_sol.K @ sys.G
-    kgk = kg @ np.swapaxes(filter_sol.K, -2, -1)
+    q_dot = control_rhs_full(q, sys, pi)
+    kgk = congruence(filter_sol.K, sys.G)
     h_pont = np.einsum("tij,tij->t", q, kgk) - np.einsum("tij,tij->t", q_dot, moments)
 
     u_mean = np.einsum("tij,tj->ti", c_values, x_mean)
@@ -128,43 +126,17 @@ def solve_closed_loop(
     )
 
 
-def deviation(S_t: np.ndarray, Lambda: np.ndarray) -> float:
-    """Frobenius inner product <Lambda, S>."""
-    return float(np.sum(Lambda * S_t))
-
-
-def cost(solution: ClosedLoopSolution, control_sol, Pi: np.ndarray) -> float:
-    """Terminal-plus-integral cost Phi(tau) = Delta(tau) + int <c' Pi c, T> dt."""
-    times = solution.times
-    h = (times[-1] - times[0]) / (len(times) - 1)
-    energy = np.einsum("tai,ab,tbj,tij->t", control_sol.c, Pi, control_sol.c, solution.T)
-    return float(solution.Delta[-1]) + _trapz(energy, h)
-
-
 def min_cost_identity(filter_sol, control_sol, T0: np.ndarray, Lambda: np.ndarray,
                       G: np.ndarray) -> float:
     """Closed-form minimum cost <Lambda, P(tau)> + <Q(0), T(0)> + int <Q, K G K'> dt."""
     times = filter_sol.times
     h = (times[-1] - times[0]) / (len(times) - 1)
-    kg = filter_sol.K @ G
-    kgk = kg @ np.swapaxes(filter_sol.K, -2, -1)
-    integrand = np.einsum("tij,tij->t", control_sol.Q_full, kgk)
+    integrand = np.einsum("tij,tij->t", control_sol.Q_full, congruence(filter_sol.K, G))
     return (
         float(np.sum(Lambda * filter_sol.P_full[-1]))
         + float(np.sum(control_sol.Q_full[0] * T0))
         + _trapz(integrand, h)
     )
-
-
-def pontryagin_hamiltonian(Q_t: np.ndarray, T_t: np.ndarray, K_t: np.ndarray,
-                           G: np.ndarray, Qdot_t: np.ndarray) -> float:
-    """<Q, K G K'> - <dQ/dt, T> on the optimal trajectory.
-
-    Not constant in time: the forcing K G K' depends on t, so
-    dH/dt = <Q, d(KGK')/dt> and H(t) - int_0^t <Q, d(KGK')/ds> ds is the
-    conserved quantity.
-    """
-    return float(np.sum(Q_t * (K_t @ G @ K_t.T)) - np.sum(Qdot_t * T_t))
 
 
 def bellman_value(t: float, Gamma: np.ndarray, control_sol, filter_sol,
@@ -177,9 +149,7 @@ def bellman_value(t: float, Gamma: np.ndarray, control_sol, filter_sol,
         raise ValueError(f"t = {t} is not a grid node")
     idx = int(matches[0])
     h = (times[-1] - times[0]) / (len(times) - 1)
-    kg = filter_sol.K[idx:] @ G
-    kgk = kg @ np.swapaxes(filter_sol.K[idx:], -2, -1)
-    tail = np.einsum("tij,tij->t", control_sol.Q_full[idx:], kgk)
+    tail = np.einsum("tij,tij->t", control_sol.Q_full[idx:], congruence(filter_sol.K[idx:], G))
     return float(np.sum(control_sol.Q_full[idx] * Gamma)) + _trapz(tail, h)
 
 

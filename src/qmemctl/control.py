@@ -1,6 +1,7 @@
 """Backward control Riccati solve and the optimal feedback gain schedule.
 
-Mirrors the filtering module: the block cascade
+The same two-solver design as the filtering module, on the shared block-state
+helpers of the ode module: the block cascade
 
     dQ1/dt = Q2' E Pi^-1 E' Q2
     dQ2/dt = (Q3 E Pi^-1 E' - A') Q2
@@ -9,22 +10,22 @@ Mirrors the filtering module: the block cascade
 is integrated backward from Q1(tau) = Q3(tau) = Sigma, Q2(tau) = -Sigma
 (the blocks of the terminal weight Lambda), alongside the redundant full
 2n x 2n Riccati dQ/dt = Q sE Pi^-1 sE' Q - sA' Q - Q sA from Q(tau) = Lambda.
-The feedback gain is c(t) = -Pi^-1 E' [Q2(t), Q3(t)] at every node, on the
-same grid the filter uses.  With no actuator channels (d = 0) everything
-degenerates to backward Lyapunov equations and a zero-width gain, which is
-kept as the uncontrolled baseline mode.
+Q2 is the bottom-left block, so Q = [[Q1, Q2'], [Q2, Q3]].  The feedback
+gain is c(t) = -Pi^-1 E' [Q2(t), Q3(t)] at every node, on the same grid the
+filter uses.  Each formula is written once, in ControlRiccati.  With no
+actuator channels (d = 0) everything degenerates to backward Lyapunov
+equations and a zero-width gain, which is kept as the uncontrolled baseline
+mode.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import integrate_matrix_ode
-
-PSD_WARN_TOL = -1e-8
+from .ode import PSD_WARN_TOL  # noqa: F401  (callers read control.PSD_WARN_TOL)
+from .ode import integrate_matrix_ode, symmetrize_outer_blocks, warn_if_not_psd
 
 
 @dataclass(frozen=True)
@@ -40,31 +41,52 @@ class ControlSolution:
     Pi: np.ndarray      # (d, d)
 
 
-def assemble_blocks(q1: np.ndarray, q2: np.ndarray, q3: np.ndarray) -> np.ndarray:
-    """Assemble [[Q1, Q2'], [Q2, Q3]] (works on stacked (..., n, n) inputs)."""
-    top = np.concatenate([q1, np.swapaxes(q2, -2, -1)], axis=-1)
-    bottom = np.concatenate([q2, q3], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+class ControlRiccati:
+    """The control Riccati formulas, with their constant coefficients.
+
+    Pi^-1, E Pi^-1 E' and sE Pi^-1 sE' are computed once at construction, so
+    a solver builds one instance for all of its Runge-Kutta stages.
+    """
+
+    def __init__(self, sys, Pi: np.ndarray):
+        self.sys = sys
+        pi_inv = np.linalg.inv(Pi)
+        self.e_pi_et = sys.E @ pi_inv @ sys.E.T
+        self.se_pi_set = sys.sE @ pi_inv @ sys.sE.T
+        self.gain_head = -pi_inv @ sys.E.T  # (d, n)
+        self.a_t = sys.A.T
+
+    def rhs_blocks(self, q1, q2, q3):
+        """(dQ1, dQ2, dQ3) of the block cascade."""
+        drive = q3 @ self.e_pi_et
+        dq1 = q2.T @ self.e_pi_et @ q2
+        dq2 = (drive - self.a_t) @ q2
+        dq3 = drive @ q3 - self.a_t @ q3 - q3 @ self.sys.A
+        return dq1, dq2, dq3
+
+    def rhs_full(self, q):
+        """dQ of the full 2n x 2n Riccati equation (works on stacked inputs)."""
+        sys = self.sys
+        return q @ self.se_pi_set @ q - sys.sA.T @ q - q @ sys.sA
+
+    def gain(self, q2, q3):
+        """c = -Pi^-1 E' [Q2, Q3], of shape (..., d, 2n)."""
+        return self.gain_head @ np.concatenate([q2, q3], axis=-1)
 
 
 def control_rhs_full(Q: np.ndarray, sys, Pi: np.ndarray) -> np.ndarray:
     """Right-hand side of the full control Riccati ODE."""
-    pi_inv = np.linalg.inv(Pi)
-    return Q @ sys.sE @ pi_inv @ sys.sE.T @ Q - sys.sA.T @ Q - Q @ sys.sA
+    return ControlRiccati(sys, Pi).rhs_full(Q)
 
 
 def control_rhs_blocks(Q1: np.ndarray, Q2: np.ndarray, Q3: np.ndarray, sys, Pi: np.ndarray):
     """Right-hand sides of the block cascade (dQ1, dQ2, dQ3)."""
-    e_pi_et = sys.E @ np.linalg.inv(Pi) @ sys.E.T
-    dq1 = Q2.T @ e_pi_et @ Q2
-    dq2 = (Q3 @ e_pi_et - sys.A.T) @ Q2
-    dq3 = Q3 @ e_pi_et @ Q3 - sys.A.T @ Q3 - Q3 @ sys.A
-    return dq1, dq2, dq3
+    return ControlRiccati(sys, Pi).rhs_blocks(Q1, Q2, Q3)
 
 
 def feedback_gain(Q2: np.ndarray, Q3: np.ndarray, sys, Pi: np.ndarray) -> np.ndarray:
     """Optimal feedback gain c = -Pi^-1 E' [Q2, Q3], of shape (d, 2n)."""
-    return -np.linalg.inv(Pi) @ sys.E.T @ np.concatenate([Q2, Q3], axis=-1)
+    return ControlRiccati(sys, Pi).gain(Q2, Q3)
 
 
 def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolution:
@@ -76,55 +98,25 @@ def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolutio
     full solution is monitored and reported as a warning only.
     """
     Pi = np.asarray(Pi, dtype=float)
-    pi_inv = np.linalg.inv(Pi)
-    e_pi_et = sys.E @ pi_inv @ sys.E.T
-    a_t = sys.A.T
+    riccati = ControlRiccati(sys, Pi)
 
     def blocks_rhs(_t, q):
-        q1, q2, q3 = q
-        drive = q3 @ e_pi_et
-        dq1 = q2.T @ e_pi_et @ q2
-        dq2 = (drive - a_t) @ q2
-        dq3 = drive @ q3 - a_t @ q3 - q3 @ sys.A
-        return np.stack([dq1, dq2, dq3])
-
-    def sym_outer(q):
-        q[0] = 0.5 * (q[0] + q[0].T)
-        q[2] = 0.5 * (q[2] + q[2].T)
-        return q
+        return np.stack(riccati.rhs_blocks(*q))
 
     sigma = sys.Sigma
-    init_blocks = np.stack([sigma, -sigma, sigma])
     block_grid = integrate_matrix_ode(
-        blocks_rhs, init_blocks, 0.0, tau, steps, direction="backward", post_step=sym_outer
+        blocks_rhs, np.stack([sigma, -sigma, sigma]), 0.0, tau, steps,
+        direction="backward", post_step=symmetrize_outer_blocks,
     )
-    q1 = block_grid.values[:, 0]
-    q2 = block_grid.values[:, 1]
-    q3 = block_grid.values[:, 2]
-
-    se_pi_set = sys.sE @ pi_inv @ sys.sE.T
-
-    def full_rhs(_t, q):
-        return q @ se_pi_set @ q - sys.sA.T @ q - q @ sys.sA
+    q1, q2, q3 = np.moveaxis(block_grid.values, 1, 0)
 
     full_grid = integrate_matrix_ode(
-        full_rhs, sys.Lambda, 0.0, tau, steps, direction="backward", symmetrize=True
+        lambda _t, q: riccati.rhs_full(q), sys.Lambda, 0.0, tau, steps,
+        direction="backward", symmetrize=True,
     )
-
-    gain_head = -pi_inv @ sys.E.T  # (d, n)
-    c = gain_head @ np.concatenate([q2, q3], axis=-1)  # (N+1, d, 2n)
-
-    eigs = np.linalg.eigvalsh(full_grid.values)
-    min_eig = float(eigs.min())
-    if min_eig < PSD_WARN_TOL:
-        node = int(np.unravel_index(eigs.argmin(), eigs.shape)[0])
-        warnings.warn(
-            f"control Riccati solution lost positive semidefiniteness: min eigenvalue "
-            f"{min_eig:.3e} at t = {block_grid.times[node]:.6g}",
-            RuntimeWarning,
-        )
+    warn_if_not_psd(full_grid.values, block_grid.times, "control Riccati solution")
 
     return ControlSolution(
         times=block_grid.times, Q1=q1, Q2=q2, Q3=q3,
-        Q_full=full_grid.values, c=c, Pi=Pi,
+        Q_full=full_grid.values, c=riccati.gain(q2, q3), Pi=Pi,
     )

@@ -12,21 +12,20 @@ propagated two independent ways on the same grid:
 
 Both start from every block equal to Re cov(X0), which makes P(0) a
 positive-semidefinite singular matrix; nothing in this module factorizes P,
-so rank-deficient covariances are handled as-is.  G is inverted once per
-solve through its Cholesky factor.
+so rank-deficient covariances are handled as-is.  Each formula, and the
+Kalman gain in its full and block forms, is written once in FilterRiccati,
+which the solver and the public right-hand-side functions share; G is
+inverted once per solve through its Cholesky factor.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .ode import TimeGrid, integrate_matrix_ode
-
-PSD_WARN_TOL = -1e-8
+from .ode import PSD_WARN_TOL  # noqa: F401  (callers read filtering.PSD_WARN_TOL)
+from .ode import congruence, integrate_matrix_ode, symmetrize_outer_blocks, warn_if_not_psd
 
 
 @dataclass(frozen=True)
@@ -42,40 +41,75 @@ class FilterSolution:
 
 
 def _spd_inverse(g: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
-    return cho_solve(cho_factor(g), np.eye(g.shape[0]))
+    """Inverse of a symmetric positive-definite G = L L' via its Cholesky factor.
+
+    Raises numpy.linalg.LinAlgError unless G is positive definite.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(g))
+    return l_inv.T @ l_inv
 
 
-def assemble_blocks(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
-    """Assemble [[P1, P2], [P2', P3]] (works on stacked (..., n, n) inputs)."""
-    top = np.concatenate([p1, p2], axis=-1)
-    bottom = np.concatenate([np.swapaxes(p2, -2, -1), p3], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+class FilterRiccati:
+    """The filtering Riccati formulas, with their constant coefficients.
+
+    The coefficients (G^-1, C' G^-1, B B', ...) are computed once at
+    construction, so a solver builds one instance and evaluates the
+    right-hand sides at every Runge-Kutta stage without refactoring G.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.ginv = _spd_inverse(sys.G)
+        self.ct_gi = sys.C.T @ self.ginv
+        self.b_bt = sys.B @ sys.B.T
+        self.b_dt = sys.B @ sys.D.T
+        self.d_bt = sys.D @ sys.B.T
+        self.a_t = sys.A.T
+        self.sb_dt = sys.sB @ sys.D.T
+        self.sb_sbt = sys.sB @ sys.sB.T
+
+    def rhs_blocks(self, p1, p2, p3):
+        """(dP1, dP2, dP3) of the block cascade."""
+        sys = self.sys
+        innov = sys.C @ p3 + self.d_bt
+        dp1 = -(p2 @ self.ct_gi) @ (sys.C @ p2.T)
+        dp2 = p2 @ (self.a_t - self.ct_gi @ innov)
+        dp3 = (
+            sys.A @ p3 + p3 @ self.a_t + self.b_bt
+            - (p3 @ sys.C.T + self.b_dt) @ self.ginv @ innov
+        )
+        return dp1, dp2, dp3
+
+    def rhs_full(self, p):
+        """dP of the full 2n x 2n Riccati equation (works on stacked inputs)."""
+        sys = self.sys
+        return (sys.sA @ p + p @ sys.sA.T + self.sb_sbt
+                - congruence(self.gain(p), sys.G))
+
+    def gain(self, p):
+        """K = (P sC' + sB D') G^-1 from the full covariance."""
+        return (p @ self.sys.sC.T + self.sb_dt) @ self.ginv
+
+    def gain_blocks(self, p2, p3):
+        """The same K from the blocks: rows (P2 C' G^-1; (P3 C' + B D') G^-1)."""
+        k_top = p2 @ self.ct_gi
+        k_bottom = p3 @ self.ct_gi + self.b_dt @ self.ginv
+        return np.concatenate([k_top, k_bottom], axis=-2)
 
 
 def filter_rhs_full(P: np.ndarray, sys) -> np.ndarray:
     """Right-hand side of the full 2n x 2n filtering Riccati ODE."""
-    ginv = _spd_inverse(sys.G)
-    k = (P @ sys.sC.T + sys.sB @ sys.D.T) @ ginv
-    return sys.sA @ P + P @ sys.sA.T + sys.sB @ sys.sB.T - k @ sys.G @ k.T
+    return FilterRiccati(sys).rhs_full(P)
 
 
 def filter_rhs_blocks(P1: np.ndarray, P2: np.ndarray, P3: np.ndarray, sys):
     """Right-hand sides of the block cascade (dP1, dP2, dP3)."""
-    ginv = _spd_inverse(sys.G)
-    innov = sys.C @ P3 + sys.D @ sys.B.T
-    dp1 = -(P2 @ sys.C.T) @ ginv @ (sys.C @ P2.T)
-    dp2 = P2 @ (sys.A.T - sys.C.T @ ginv @ innov)
-    dp3 = (
-        sys.A @ P3 + P3 @ sys.A.T + sys.B @ sys.B.T
-        - (P3 @ sys.C.T + sys.B @ sys.D.T) @ ginv @ innov
-    )
-    return dp1, dp2, dp3
+    return FilterRiccati(sys).rhs_blocks(P1, P2, P3)
 
 
 def kalman_gain(P: np.ndarray, sys) -> np.ndarray:
     """K = (P sC' + sB D') G^-1; rows split into smoother and filter gains."""
-    return (P @ sys.sC.T + sys.sB @ sys.D.T) @ _spd_inverse(sys.G)
+    return FilterRiccati(sys).gain(P)
 
 
 def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolution:
@@ -89,64 +123,26 @@ def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolutio
     emitted if the full covariance dips below PSD tolerance anywhere.
     """
     cov0 = np.asarray(cov0, dtype=float)
-    n = sys.n
-    ginv = _spd_inverse(sys.G)
-    ct_gi = sys.C.T @ ginv
-    b_bt = sys.B @ sys.B.T
-    b_dt = sys.B @ sys.D.T
-    d_bt = sys.D @ sys.B.T
-    a_t = sys.A.T
+    riccati = FilterRiccati(sys)
 
     def blocks_rhs(_t, p):
-        p1, p2, p3 = p
-        innov = sys.C @ p3 + d_bt
-        dp1 = -(p2 @ ct_gi) @ (sys.C @ p2.T)
-        dp2 = p2 @ (a_t - ct_gi @ innov)
-        dp3 = sys.A @ p3 + p3 @ a_t + b_bt - (p3 @ sys.C.T + b_dt) @ ginv @ innov
-        return np.stack([dp1, dp2, dp3])
+        return np.stack(riccati.rhs_blocks(*p))
 
-    def sym_outer(p):
-        p[0] = 0.5 * (p[0] + p[0].T)
-        p[2] = 0.5 * (p[2] + p[2].T)
-        return p
-
-    init_blocks = np.stack([cov0, cov0, cov0])
     block_grid = integrate_matrix_ode(
-        blocks_rhs, init_blocks, 0.0, tau, steps, post_step=sym_outer
+        blocks_rhs, np.stack([cov0, cov0, cov0]), 0.0, tau, steps,
+        post_step=symmetrize_outer_blocks,
     )
-    p1 = block_grid.values[:, 0]
-    p2 = block_grid.values[:, 1]
-    p3 = block_grid.values[:, 2]
+    p1, p2, p3 = np.moveaxis(block_grid.values, 1, 0)
 
-    sb_dt = sys.sB @ sys.D.T
-    sb_sbt = sys.sB @ sys.sB.T
-
-    def full_rhs(_t, p):
-        k = (p @ sys.sC.T + sb_dt) @ ginv
-        return sys.sA @ p + p @ sys.sA.T + sb_sbt - k @ sys.G @ k.T
-
-    init_full = np.tile(cov0, (2, 2))
     full_grid = integrate_matrix_ode(
-        full_rhs, init_full, 0.0, tau, steps, symmetrize=True
+        lambda _t, p: riccati.rhs_full(p), np.tile(cov0, (2, 2)), 0.0, tau, steps,
+        symmetrize=True,
     )
-
-    k_top = p2 @ ct_gi
-    k_bottom = p3 @ ct_gi + b_dt @ ginv
-    k = np.concatenate([k_top, k_bottom], axis=1)
-
-    eigs = np.linalg.eigvalsh(full_grid.values)
-    min_eig = float(eigs.min())
-    if min_eig < PSD_WARN_TOL:
-        node = int(np.unravel_index(eigs.argmin(), eigs.shape)[0])
-        warnings.warn(
-            f"filter covariance lost positive semidefiniteness: min eigenvalue "
-            f"{min_eig:.3e} at t = {block_grid.times[node]:.6g}",
-            RuntimeWarning,
-        )
+    warn_if_not_psd(full_grid.values, block_grid.times, "filter covariance")
 
     return FilterSolution(
         times=block_grid.times, P1=p1, P2=p2, P3=p3,
-        P_full=full_grid.values, K=k,
+        P_full=full_grid.values, K=riccati.gain_blocks(p2, p3),
     )
 
 

@@ -80,15 +80,6 @@ def gain_schedule(filter_sol, control_sol) -> GainSchedule:
 
 
 @dataclass(frozen=True)
-class SurrogateState:
-    """Joint surrogate state at one instant: plant copy pair and controller."""
-
-    t: float
-    sX: np.ndarray  # (2n,) = (X0; X(t))
-    x: np.ndarray   # (2n,) = (X0 estimate; X(t) estimate)
-
-
-@dataclass(frozen=True)
 class SurrogatePath:
     """One simulated path sampled at the gain-grid nodes."""
 
@@ -96,9 +87,6 @@ class SurrogatePath:
     sX: np.ndarray            # (N+1, 2n)
     x: np.ndarray             # (N+1, 2n)
     control_energy: float     # per-path int ||U||_Pi^2 dt (substep trapezoid)
-
-    def state_at(self, index: int) -> SurrogateState:
-        return SurrogateState(float(self.times[index]), self.sX[index], self.x[index])
 
 
 @dataclass(frozen=True)
@@ -136,18 +124,12 @@ class SampleMoments:
     def joint_dim(self) -> int:
         return self.mean_y.shape[1] // 2
 
-    def e_mean(self) -> np.ndarray:
-        return self.mean_e
-
-    def e_second(self) -> np.ndarray:
-        return self.second_e
-
     def x_second(self) -> np.ndarray:
         k = self.joint_dim
         return self.second_y[:, k:, k:]
 
     def e_mean_se(self) -> np.ndarray:
-        var = np.einsum("tii->ti", self.e_second()) - self.e_mean() ** 2
+        var = np.einsum("tii->ti", self.second_e) - self.mean_e ** 2
         return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
 
     def cross_xe_se(self) -> np.ndarray:
@@ -424,9 +406,9 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
     last = len(moments.times) - 1
     nodes = np.unique(np.round(np.linspace(0, last, checkpoints)).astype(int))
 
-    e_mean = moments.e_mean()
+    e_mean = moments.mean_e
     e_mean_se = moments.e_mean_se()
-    e_second = moments.e_second()
+    e_second = moments.second_e
     x_second = moments.x_second()
     mho_se = moments.cross_xe_se()
 

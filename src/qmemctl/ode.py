@@ -7,16 +7,25 @@ right-hand side, and grids are always stored ascending in time.  A fixed
 uniform grid (rather than adaptive stepping) keeps the filter, control and
 moment solutions on shared nodes so gain schedules never have to be
 resampled against each other.
+
+The module also owns the stacked block-state layout both Riccati solvers
+integrate, a (3, n, n) array (B1, B2, B3) standing for the symmetric
+[[B1, B2], [B2', B3]], together with the helpers every solver shares: block
+assembly, the block-symmetrizing post-step, the PSD monitor and the
+congruence K G K'.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError
+
+PSD_WARN_TOL = -1e-8
 
 
 @dataclass(frozen=True)
@@ -131,3 +140,36 @@ def sample_grid(grid: TimeGrid, t: float) -> np.ndarray:
     idx = min(max(idx, 0), len(times) - 2)
     w = (t - times[idx]) / (times[idx + 1] - times[idx])
     return (1.0 - w) * grid.values[idx] + w * grid.values[idx + 1]
+
+
+def assemble_blocks(b1: np.ndarray, b2: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """Assemble [[B1, B2], [B2', B3]] (works on stacked (..., n, n) inputs)."""
+    top = np.concatenate([b1, b2], axis=-1)
+    bottom = np.concatenate([np.swapaxes(b2, -2, -1), b3], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+def symmetrize_outer_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Post-step for a stacked (B1, B2, B3) state: symmetrize B1 and B3 in place."""
+    blocks[0] = 0.5 * (blocks[0] + blocks[0].T)
+    blocks[2] = 0.5 * (blocks[2] + blocks[2].T)
+    return blocks
+
+
+def congruence(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K G K' (works on stacked (..., p, q) gains)."""
+    return k @ g @ np.swapaxes(k, -2, -1)
+
+
+def warn_if_not_psd(values: np.ndarray, times: np.ndarray, what: str) -> None:
+    """Warn (never raise) if any node's matrix has an eigenvalue below PSD_WARN_TOL."""
+    eigs = np.linalg.eigvalsh(values)
+    min_eig = float(eigs.min())
+    if min_eig < PSD_WARN_TOL:
+        node = int(np.unravel_index(eigs.argmin(), eigs.shape)[0])
+        warnings.warn(
+            f"{what} lost positive semidefiniteness: min eigenvalue "
+            f"{min_eig:.3e} at t = {times[node]:.6g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )

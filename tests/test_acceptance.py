@@ -32,9 +32,7 @@ from qmemctl import (
 )
 from qmemctl.cli import main as cli_main
 from qmemctl.closedloop import _cumtrapz
-from qmemctl.control import assemble_blocks as assemble_q
-from qmemctl.filtering import assemble_blocks as assemble_p
-from qmemctl.ode import TimeGrid, sample_grid
+from qmemctl.ode import TimeGrid, assemble_blocks, sample_grid
 from scipy.linalg import expm
 
 
@@ -65,9 +63,10 @@ def test_c02_block_cascade_fidelity(acc_spec, acc_sys):
     filt = solve_filter(acc_sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
     ctrl = solve_control(acc_sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
     elapsed = time.perf_counter() - start
-    p_dev = np.max(np.abs(assemble_p(filt.P1, filt.P2, filt.P3) - filt.P_full))
+    p_dev = np.max(np.abs(assemble_blocks(filt.P1, filt.P2, filt.P3) - filt.P_full))
     p_rel = p_dev / (1.0 + np.max(np.abs(filt.P_full)))
-    q_dev = np.max(np.abs(assemble_q(ctrl.Q1, ctrl.Q2, ctrl.Q3) - ctrl.Q_full))
+    q2t = np.swapaxes(ctrl.Q2, -2, -1)  # Q2 is the bottom-left block
+    q_dev = np.max(np.abs(assemble_blocks(ctrl.Q1, q2t, ctrl.Q3) - ctrl.Q_full))
     q_rel = q_dev / (1.0 + np.max(np.abs(ctrl.Q_full)))
     _report(2, "block-cascade fidelity",
             p_rel <= 1e-8 and q_rel <= 1e-8 and elapsed < 5.0,
@@ -151,7 +150,7 @@ def pontryagin_variations(sys_m, filter_sol, control_sol, closed_sol):
         return float(np.max(np.abs(values - mean)) / (1.0 + abs(mean)))
 
     times = filter_sol.times
-    p_dot = np.array([filter_rhs_full(p, sys_m) for p in filter_sol.P_full])
+    p_dot = filter_rhs_full(filter_sol.P_full, sys_m)
     k_sc_p_dot = filter_sol.K @ sys_m.sC @ p_dot
     kgk_dot = k_sc_p_dot + np.swapaxes(k_sc_p_dot, -2, -1)
     drift = np.einsum("tij,tij->t", control_sol.Q_full, kgk_dot)

@@ -211,3 +211,21 @@ class TestFullPipeline:
         for name in ("filter.csv", "control.csv", "closedloop.csv",
                      "montecarlo.csv", "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    import os
+    import subprocess
+    import sys
+
+    import qmemctl
+
+    src = str(Path(qmemctl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, qmemctl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

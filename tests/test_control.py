@@ -8,8 +8,8 @@ from qmemctl import (
     feedback_gain,
     solve_control,
 )
-from qmemctl.control import assemble_blocks
 from qmemctl.model import ScenarioSpec
+from qmemctl.ode import assemble_blocks
 
 
 def _spec(**overrides):
@@ -35,9 +35,19 @@ def test_block_assembly_matches_full_rhs(ref_sys, ref_spec):
         q2 = rng.standard_normal((2, 2))
         q3 = _random_symmetric(rng, 2)
         dq1, dq2, dq3 = control_rhs_blocks(q1, q2, q3, ref_sys, ref_spec.Pi)
-        assembled = assemble_blocks(dq1, dq2, dq3)
-        full = control_rhs_full(assemble_blocks(q1, q2, q3), ref_sys, ref_spec.Pi)
+        # Q2 is the bottom-left block: Q = [[Q1, Q2'], [Q2, Q3]].
+        assembled = assemble_blocks(dq1, dq2.T, dq3)
+        full = control_rhs_full(assemble_blocks(q1, q2.T, q3), ref_sys, ref_spec.Pi)
         np.testing.assert_allclose(assembled, full, rtol=0, atol=1e-12)
+
+
+def test_full_rhs_on_stacked_input_matches_per_node(ref_sys, ref_spec):
+    rng = np.random.default_rng(10)
+    stack = np.array([assemble_blocks(_random_symmetric(rng, 2), rng.standard_normal((2, 2)),
+                                      _random_symmetric(rng, 2)) for _ in range(5)])
+    stacked = control_rhs_full(stack, ref_sys, ref_spec.Pi)
+    per_node = np.array([control_rhs_full(q, ref_sys, ref_spec.Pi) for q in stack])
+    np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-13)
 
 
 def test_zero_solution_is_fixed_point(ref_sys, ref_spec):
@@ -88,7 +98,8 @@ class TestSolveControl:
         np.testing.assert_array_equal(ctrl.Q_full[-1], ref_sys.Lambda)
 
     def test_block_vs_full_agreement(self, ref_control):
-        assembled = assemble_blocks(ref_control.Q1, ref_control.Q2, ref_control.Q3)
+        assembled = assemble_blocks(ref_control.Q1, np.swapaxes(ref_control.Q2, 1, 2),
+                                    ref_control.Q3)
         scale = 1.0 + np.max(np.abs(ref_control.Q_full))
         assert np.max(np.abs(assembled - ref_control.Q_full)) <= 1e-8 * scale
 

@@ -10,9 +10,8 @@ from qmemctl import (
     kalman_gain,
     solve_filter,
 )
-from qmemctl.filtering import assemble_blocks
 from qmemctl.model import ScenarioSpec
-from qmemctl.ode import TimeGrid, sample_grid
+from qmemctl.ode import TimeGrid, assemble_blocks, sample_grid
 
 
 def _spec(**overrides):
@@ -41,6 +40,15 @@ def test_block_assembly_matches_full_rhs(ref_sys):
         assembled = assemble_blocks(dp1, dp2, dp3)
         full = filter_rhs_full(assemble_blocks(p1, p2, p3), ref_sys)
         np.testing.assert_allclose(assembled, full, rtol=0, atol=1e-12)
+
+
+def test_full_rhs_on_stacked_input_matches_per_node(ref_sys):
+    rng = np.random.default_rng(6)
+    stack = np.array([assemble_blocks(_random_symmetric(rng, 2), rng.standard_normal((2, 2)),
+                                      _random_symmetric(rng, 2)) for _ in range(5)])
+    stacked = filter_rhs_full(stack, ref_sys)
+    per_node = np.array([filter_rhs_full(p, ref_sys) for p in stack])
+    np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-13)
 
 
 def test_full_rhs_zero_fixed_point():

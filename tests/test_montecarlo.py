@@ -139,8 +139,7 @@ class TestSamplePath:
         path = sample_path(sys_m, gains, spec.mean0, psd_sqrt(spec.cov0), seed=5)
         np.testing.assert_array_equal(path.x[0],
                                       np.concatenate([spec.mean0, spec.mean0]))
-        state = path.state_at(0)
-        assert state.t == 0.0
+        assert path.times[0] == 0.0
 
     def test_noiseless_path_tracks_mean_ode(self):
         spec = _spec(M=np.zeros((2, 2)), cov0=np.zeros((2, 2)), steps=500)
@@ -253,8 +252,8 @@ class TestEnsemble:
         # RMS over checkpoints and entries of the estimator-mean residual;
         # quadrupling paths should halve it, modulo sampling noise.
         idx = np.linspace(0, len(gains.times) - 1, 10).astype(int)
-        rms_small = np.sqrt(np.mean(small.e_mean()[idx] ** 2))
-        rms_large = np.sqrt(np.mean(large.e_mean()[idx] ** 2))
+        rms_small = np.sqrt(np.mean(small.mean_e[idx] ** 2))
+        rms_large = np.sqrt(np.mean(large.mean_e[idx] ** 2))
         assert 0.25 <= rms_large / rms_small <= 1.0
 
 

@@ -1,0 +1,93 @@
+"""Property tests over random valid scenarios.
+
+Each Riccati equation has a block form and a full 2n x 2n form, and the
+Kalman and feedback gains each have the form the solver stores; these tests
+check that the forms agree on scenarios drawn by `random_valid_scenario`
+(n in {2, 4, 6, 8}, m in {2, 4}) with random symmetric blocks.  Hypothesis
+runs derandomized, so the drawn examples are the same on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_valid_scenario
+from qmemctl import (
+    control_rhs_blocks,
+    control_rhs_full,
+    derive_system_matrices,
+    feedback_gain,
+    filter_rhs_blocks,
+    filter_rhs_full,
+    kalman_gain,
+)
+from qmemctl.control import ControlRiccati
+from qmemctl.filtering import FilterRiccati
+from qmemctl.ode import assemble_blocks
+
+RTOL = 1e-10
+
+cases = st.tuples(
+    st.sampled_from([2, 4, 6, 8]),
+    st.sampled_from([2, 4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+deterministic = settings(derandomize=True, deadline=None)
+
+
+def _draw(case):
+    """A random valid scenario, its matrices and random blocks (B1, B2, B3).
+
+    B1 and B3 are symmetric; B2 is a general n x n block.
+    """
+    n, m, seed = case
+    rng = np.random.default_rng(seed)
+    spec = random_valid_scenario(rng, n, m)
+    b1, b3 = (0.5 * (a + a.T) for a in rng.standard_normal((2, n, n)))
+    b2 = rng.standard_normal((n, n))
+    return spec, derive_system_matrices(spec), b1, b2, b3
+
+
+def _assert_close(actual, expected):
+    scale = 1.0 + np.max(np.abs(expected), initial=0.0)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected), initial=0.0) <= RTOL * scale
+
+
+@deterministic
+@given(cases)
+def test_filter_block_rhs_equals_full_rhs(case):
+    _, sys_m, p1, p2, p3 = _draw(case)
+    assembled = assemble_blocks(*filter_rhs_blocks(p1, p2, p3, sys_m))
+    _assert_close(assembled, filter_rhs_full(assemble_blocks(p1, p2, p3), sys_m))
+
+
+@deterministic
+@given(cases)
+def test_control_block_rhs_equals_full_rhs(case):
+    spec, sys_m, q1, q2, q3 = _draw(case)
+    dq1, dq2, dq3 = control_rhs_blocks(q1, q2, q3, sys_m, spec.Pi)
+    # Q2 is the bottom-left block: Q = [[Q1, Q2'], [Q2, Q3]].
+    full = control_rhs_full(assemble_blocks(q1, q2.T, q3), sys_m, spec.Pi)
+    _assert_close(assemble_blocks(dq1, dq2.T, dq3), full)
+
+
+@deterministic
+@given(cases)
+def test_block_gain_equals_kalman_gain(case):
+    _, sys_m, p1, p2, p3 = _draw(case)
+    _assert_close(FilterRiccati(sys_m).gain_blocks(p2, p3),
+                  kalman_gain(assemble_blocks(p1, p2, p3), sys_m))
+
+
+@deterministic
+@given(cases)
+def test_feedback_gain_equals_solver_gain(case):
+    """feedback_gain agrees with a Pi solve, and with the stacked evaluation
+    solve_control applies to its whole (N+1)-node grid."""
+    spec, sys_m, q1, q2, q3 = _draw(case)
+    direct = -np.linalg.solve(spec.Pi, sys_m.E.T @ np.concatenate([q2, q3], axis=-1))
+    _assert_close(feedback_gain(q2, q3, sys_m, spec.Pi), direct)
+    q2s, q3s = np.stack([q1, q2]), np.stack([q3, q2.T])
+    per_node = np.array([feedback_gain(a, b, sys_m, spec.Pi) for a, b in zip(q2s, q3s)])
+    _assert_close(ControlRiccati(sys_m, spec.Pi).gain(q2s, q3s), per_node)
