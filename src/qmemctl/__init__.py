@@ -55,6 +55,7 @@ from .montecarlo import (
     GainSchedule,
     SampleMoments,
     SurrogatePath,
+    checkpoint_nodes,
     cross_moment_check,
     derive_path_seed,
     gain_schedule,

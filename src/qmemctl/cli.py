@@ -420,7 +420,8 @@ def run(config: RunConfig) -> int:
         gains = montecarlo.gain_schedule(filt, ctrl)
         moments = _stage("montecarlo", montecarlo.simulate_ensemble,
                          sys_m, gains, spec.mean0, spec.cov0, paths, seed,
-                         DEFAULT_SUBSTEPS)
+                         DEFAULT_SUBSTEPS,
+                         nodes=montecarlo.checkpoint_nodes(spec.steps, MC_CHECKPOINTS))
         report = _stage("montecarlo", montecarlo.cross_moment_check,
                         moments, closed, filt, MC_CHECKPOINTS)
         delta_ode = float(closed.Delta[-1])

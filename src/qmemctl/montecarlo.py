@@ -23,13 +23,20 @@ the same equations give as
 
 so that e, and every statistic of the estimation error, is exactly 0 when
 there is no noise and cov0 = 0.  Each path owns a generator seeded by
-base_seed XOR splitmix64(index), so ensembles are reproducible,
-order-independent and parallel-safe; paths are accumulated in path-index
-order.
+base_seed XOR splitmix64(index) and writes its draws into its own row.  Only
+that per-path drawing is threaded: contiguous path-index ranges are filled by
+one thread per available CPU, since numpy's generators release the GIL while
+filling.  Which thread fills a row cannot change the row, and the propagation
+and the moment sums that follow run in one thread over whole arrays, so every
+output is bit-identical whatever the thread count.  Moments are accumulated
+only at the requested grid nodes (see checkpoint_nodes); the state is checked
+for finiteness at every node.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +61,49 @@ def splitmix64(value: int) -> int:
 
 def derive_path_seed(base_seed: int, index: int) -> int:
     return (int(base_seed) & _MASK64) ^ splitmix64(int(index))
+
+
+def checkpoint_nodes(steps: int, checkpoints: int) -> np.ndarray:
+    """Indices of `checkpoints` evenly spaced nodes of a `steps`-step grid.
+
+    The first and last nodes are always included; rounding may merge
+    neighbours on a coarse grid, so fewer indices can come back.
+    """
+    return np.unique(np.round(np.linspace(0, steps, checkpoints)).astype(int))
+
+
+def _worker_count(paths: int) -> int:
+    """One noise-drawing thread per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, paths))
+
+
+def _draw_normals(rngs, out: np.ndarray, workers: int) -> None:
+    """Fill out[i] with standard normals from rngs[i], for every path i.
+
+    Contiguous path-index ranges go to `workers` threads (the calling thread
+    takes the first).  Each row is drawn from its own generator alone, so the
+    result does not depend on `workers`.
+    """
+    errors: list[BaseException] = []
+
+    def fill(lo: int, hi: int) -> None:
+        try:
+            for i in range(lo, hi):
+                rngs[i].standard_normal(out=out[i])
+        except BaseException as exc:  # re-raised below, once every thread is done
+            errors.append(exc)
+
+    bounds = [len(rngs) * w // workers for w in range(workers + 1)]
+    threads = [threading.Thread(target=fill, args=(bounds[w], bounds[w + 1]))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    fill(bounds[0], bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -91,19 +141,23 @@ class SurrogatePath:
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Ensemble statistics accumulated at every grid node.
+    """Ensemble statistics accumulated at the requested grid nodes.
 
-    `mean_y` and `second_y` are the empirical first/second moments of the
-    stacked vector y = (sX; x).  The statistics of the estimation error
+    `nodes` holds the indices, into the gain grid, of the nodes that were
+    accumulated, in increasing order; `times` are their times, and row k of
+    every per-node array belongs to node `nodes[k]`.  `mean_y` and
+    `second_y` are the empirical first/second moments of the stacked vector
+    y = (sX; x).  The statistics of the estimation error
     e = sX - x are accumulated from the propagated e itself, never differenced
     from the sX and x blocks: `mean_e` and `second_e` are its first/second
     moments, `cross_xe` is the empirical mean of the outer product x e', and
     `cross_xe_sq` the mean of its entrywise squares (kept so entrywise
-    standard errors are available).  Terminal-scalar statistics carry
-    standard errors directly.
+    standard errors are available).  Terminal-scalar statistics are taken at
+    the horizon whatever the nodes, and carry standard errors directly.
     """
 
     paths: int
+    nodes: np.ndarray
     times: np.ndarray
     mean_y: np.ndarray
     second_y: np.ndarray
@@ -159,8 +213,18 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(count))
 
 
+def _node_indices(nodes, steps: int) -> np.ndarray:
+    """Validated, sorted, de-duplicated node indices; None means every node."""
+    if nodes is None:
+        return np.arange(steps + 1)
+    idx = np.unique(np.asarray(nodes, dtype=int).reshape(-1))
+    if idx.size == 0 or idx[0] < 0 or idx[-1] > steps:
+        raise ValueError(f"nodes must be a non-empty subset of 0..{steps}, got {nodes!r}")
+    return idx
+
+
 def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
-               substeps_per_node: int, record_paths: bool):
+               substeps_per_node: int, record_paths: bool, nodes=None):
     """Vectorized Euler-Maruyama over all requested paths.
 
     The per-substep update of the joint row state z = (e, x), e = sX - x, is
@@ -173,10 +237,13 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     which is the innovation-driven scheme dZ = sC sX h + D dw sqrt(h),
     dV = dZ - sC x h, sX += (sA sX + sE U) h + sB dw sqrt(h),
     x += (sA x + sE U) h + K dV with U = c x, rewritten for e and folded into
-    one step.  sX = e + x is rebuilt only at the nodes, with its initial copy
-    taken from the held X0 so that it stays bitwise frozen.  Accumulation
-    happens in path-index order with a layout that depends only on
-    (seeds, substeps), so results are bit-reproducible.
+    one step.  sX = e + x is rebuilt only at the accumulated nodes (`nodes`,
+    default every node), with its initial copy taken from the held X0 so that
+    it stays bitwise frozen; the finiteness check runs at every node.  The
+    noise of each path is drawn into its own row (threaded by path range,
+    see _draw_normals) and everything after that runs on whole arrays in one
+    thread, so results depend only on (seeds, substeps) and are
+    bit-reproducible.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
@@ -186,6 +253,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     if sub < 1:
         raise ValueError(f"substeps_per_node must be >= 1, got {sub}")
     total = steps * sub
+    nodes = _node_indices(nodes, steps)
+    slot = np.full(steps + 1, -1)
+    slot[nodes] = np.arange(len(nodes))
     h, k_sub, c_sub = _substep_gains(gains, sub)
     sqrt_h = np.sqrt(h)
 
@@ -193,10 +263,10 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     twon = 2 * n
     count = len(seeds)
     rngs = [np.random.default_rng(int(s)) for s in seeds]
+    workers = _worker_count(count)
 
     zeta = np.empty((count, n))
-    for i, rng in enumerate(rngs):
-        zeta[i] = rng.standard_normal(n)
+    _draw_normals(rngs, zeta, workers)
     spread0 = zeta @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
     z_state = np.concatenate(
@@ -224,15 +294,16 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     l_t = np.ascontiguousarray(np.swapaxes(np.matmul(pi_sqrt, c_sub), 1, 2))
     l_t_final = (pi_sqrt @ gains.c[-1]).T
 
-    mean_sum = np.zeros((steps + 1, 2 * twon))
-    second_sum = np.zeros((steps + 1, 2 * twon, 2 * twon))
-    e_sum = np.zeros((steps + 1, twon))
-    e_second_sum = np.zeros((steps + 1, twon, twon))
-    cross_sum = np.zeros((steps + 1, twon, twon))
-    cross_sq_sum = np.zeros((steps + 1, twon, twon))
+    kept = len(nodes)
+    mean_sum = np.zeros((kept, 2 * twon))
+    second_sum = np.zeros((kept, 2 * twon, 2 * twon))
+    e_sum = np.zeros((kept, twon))
+    e_second_sum = np.zeros((kept, twon, twon))
+    cross_sum = np.zeros((kept, twon, twon))
+    cross_sq_sum = np.zeros((kept, twon, twon))
     if record_paths:
-        traj_s = np.empty((count, steps + 1, twon))
-        traj_x = np.empty((count, steps + 1, twon))
+        traj_s = np.empty((count, kept, twon))
+        traj_x = np.empty((count, kept, twon))
 
     # y = (sX; x) at the current node; its initial-copy block is X0 for good.
     y_state = np.empty((count, 2 * twon))
@@ -246,19 +317,22 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                 f"non-finite path state (seed {int(seeds[bad])}) at substep "
                 f"{substep_idx} (t = {times[0] + substep_idx * h:.6g})"
             )
+        k = slot[node_idx]
+        if k < 0:
+            return
         err = z_state[:, :twon]
         x_part = z_state[:, twon:]
         np.add(err[:, n:], x_part[:, n:], out=y_state[:, n:twon])
         y_state[:, twon:] = x_part
-        mean_sum[node_idx] += y_state.sum(axis=0)
-        second_sum[node_idx] += y_state.T @ y_state
-        e_sum[node_idx] += err.sum(axis=0)
-        e_second_sum[node_idx] += err.T @ err
-        cross_sum[node_idx] += x_part.T @ err
-        cross_sq_sum[node_idx] += (x_part * x_part).T @ (err * err)
+        mean_sum[k] += y_state.sum(axis=0)
+        second_sum[k] += y_state.T @ y_state
+        e_sum[k] += err.sum(axis=0)
+        e_second_sum[k] += err.T @ err
+        cross_sum[k] += x_part.T @ err
+        cross_sq_sum[k] += (x_part * x_part).T @ (err * err)
         if record_paths:
-            traj_s[:, node_idx] = y_state[:, :twon]
-            traj_x[:, node_idx] = x_part
+            traj_s[:, k] = y_state[:, :twon]
+            traj_x[:, k] = x_part
 
     take_node(0, 0)
     energy = np.zeros(count)
@@ -269,8 +343,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     while j < total:
         width = min(window, total - j)
         noise = np.empty((count, width, m))
-        for i, rng in enumerate(rngs):
-            noise[i] = rng.standard_normal((width, m))
+        _draw_normals(rngs, noise, workers)
         for k in range(width):
             g = ((z_state[:, twon:] @ l_t[j]) ** 2).sum(axis=1)
             if j > 0:
@@ -285,8 +358,10 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
     energy += (0.5 * h) * (g_prev + g_final)
 
-    # The last node taken is the horizon, so y_state holds the final sX.
-    s_final = y_state[:, :twon]
+    # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
+    s_final = np.empty((count, twon))
+    s_final[:, :n] = plant0
+    np.add(z_state[:, n:twon], z_state[:, twon + n:], out=s_final[:, n:])
     deviation = np.einsum("bi,ij,bj->b", s_final, sys.Lambda, s_final)
     smoothing = (z_state[:, :n] ** 2).sum(axis=1)
     cost_paths = deviation + energy
@@ -298,7 +373,8 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
 
     moments = SampleMoments(
         paths=count,
-        times=times,
+        nodes=nodes,
+        times=times[nodes],
         mean_y=mean_sum / count,
         second_y=second_sum / count,
         mean_e=e_sum / count,
@@ -334,8 +410,16 @@ def sample_path(sys, gains: GainSchedule, mean0, cov0_factor, seed: int,
 
 def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
                       base_seed: int, substeps_per_node: int = 4,
-                      seeds: Sequence[int] | None = None) -> SampleMoments:
+                      seeds: Sequence[int] | None = None,
+                      nodes: Sequence[int] | None = None) -> SampleMoments:
     """Simulate an ensemble and accumulate empirical moments per node.
+
+    Moments are accumulated at the gain-grid node indices `nodes` (default
+    every node; cross_moment_check needs only checkpoint_nodes(steps,
+    checkpoints)), and the terminal scalars at the horizon either way.  A
+    non-finite path state raises DivergenceError at the first node, requested
+    or not, where it is seen.  The result is bit-identical for any thread
+    count, and for any `nodes` at the nodes both runs accumulate.
 
     Seeds default to derive_path_seed(base_seed, i) for i = 0..paths-1; the
     `seeds` override exists for degenerate-sanity tests (for instance two
@@ -349,7 +433,8 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
         raise ValueError(f"{len(seeds)} seeds supplied for {paths} paths")
     factor = psd_sqrt(cov0)
     moments, _, _, _ = _propagate(
-        sys, gains, mean0, factor, list(seeds), substeps_per_node, record_paths=False
+        sys, gains, mean0, factor, list(seeds), substeps_per_node, record_paths=False,
+        nodes=nodes,
     )
     return moments
 
@@ -396,15 +481,25 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
     """Compare empirical moments against P, T and the zero cross-correlation.
 
     Report-only: nothing raises on a statistical miss.  Checkpoints are
-    evenly spaced grid nodes (first and last included).
+    checkpoint_nodes(steps, checkpoints) of the filter grid (first and last
+    included); the ensemble must have accumulated each of them, so pass the
+    same nodes to simulate_ensemble or let it default to every node.
+    GridMismatchError is raised when the ensemble's nodes do not lie on the
+    filter and closed-loop grids or a checkpoint was not accumulated.
     """
-    if not np.array_equal(moments.times, filter_sol.times):
+    grid = filter_sol.times
+    if moments.nodes[-1] >= len(grid) or not np.array_equal(moments.times, grid[moments.nodes]):
         raise GridMismatchError("ensemble and filter grids differ")
-    if not np.array_equal(moments.times, closedloop_sol.times):
+    if not np.array_equal(grid, closedloop_sol.times):
         raise GridMismatchError("ensemble and closed-loop grids differ")
 
-    last = len(moments.times) - 1
-    nodes = np.unique(np.round(np.linspace(0, last, checkpoints)).astype(int))
+    nodes = checkpoint_nodes(len(grid) - 1, checkpoints)
+    missing = np.setdiff1d(nodes, moments.nodes)
+    if missing.size:
+        raise GridMismatchError(
+            f"checkpoint nodes {missing.tolist()} were not accumulated by the ensemble"
+        )
+    slots = np.searchsorted(moments.nodes, nodes)
 
     e_mean = moments.mean_e
     e_mean_se = moments.e_mean_se()
@@ -415,7 +510,7 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
     rows = []
     mho_ok = 0
     e_ok = True
-    for i in nodes:
+    for i, node in zip(slots, nodes):
         mho_z = _z_scores(moments.cross_xe[i], mho_se[i])
         e_z = _z_scores(e_mean[i], e_mean_se[i])
         row = CheckpointResidual(
@@ -424,8 +519,8 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
             mho_max_z=float(np.max(mho_z)),
             e_mean_norm=float(np.linalg.norm(e_mean[i])),
             e_mean_max_z=float(np.max(e_z)),
-            P_rel_err=_rel_err(e_second[i], filter_sol.P_full[i]),
-            T_rel_err=_rel_err(x_second[i], closedloop_sol.T[i]),
+            P_rel_err=_rel_err(e_second[i], filter_sol.P_full[node]),
+            T_rel_err=_rel_err(x_second[i], closedloop_sol.T[node]),
         )
         rows.append(row)
         if row.mho_max_z <= 3.0:

@@ -1,8 +1,15 @@
+import dataclasses
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from qmemctl import (
+    DivergenceError,
     GridMismatchError,
+    checkpoint_nodes,
     cross_moment_check,
     derive_path_seed,
     derive_system_matrices,
@@ -14,6 +21,7 @@ from qmemctl import (
     solve_control,
     solve_filter,
 )
+from qmemctl import montecarlo
 from qmemctl.model import ScenarioSpec
 from qmemctl.montecarlo import GainSchedule, splitmix64
 
@@ -88,6 +96,34 @@ def em_deviation_oracle(sys, gains, mean0, cov0, substeps_per_node):
         mu = f_op @ mu
         sigma = f_op @ sigma @ f_op.T + g_op @ g_op.T
     return float(np.sum(sys.Lambda * sigma[:twon, :twon]))
+
+
+def _assert_moments_identical(a, b):
+    for field in dataclasses.fields(a):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(left, np.ndarray):
+            assert np.array_equal(left, right), field.name
+        else:
+            assert left == right, field.name
+
+
+def _run_bounded(fn, timeout=120.0):
+    """Run fn in a thread joined with a timeout; return its result or re-raise."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "simulation did not finish in time"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 class TestSeeding:
@@ -256,6 +292,101 @@ class TestEnsemble:
         rms_large = np.sqrt(np.mean(large.mean_e[idx] ** 2))
         assert 0.25 <= rms_large / rms_small <= 1.0
 
+    def test_checkpoint_nodes_match_all_node_ensemble(self, mc_setup):
+        spec, sys_m, filt, _, closed, gains = mc_setup
+        nodes = checkpoint_nodes(500, 10)
+        full = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
+                                 base_seed=2024)
+        sparse = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
+                                   base_seed=2024, nodes=nodes)
+        # the horizon need not be a requested node for the terminal scalars
+        inner = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
+                                  base_seed=2024, nodes=[250, 0])
+        assert np.array_equal(full.nodes, np.arange(501))
+        assert np.array_equal(sparse.nodes, nodes)
+        assert np.array_equal(sparse.times, gains.times[nodes])
+        assert np.array_equal(inner.nodes, [0, 250])
+        for part, idx in ((sparse, nodes), (inner, [0, 250])):
+            for field in ("mean_y", "second_y", "mean_e", "second_e", "cross_xe",
+                          "cross_xe_sq"):
+                assert np.array_equal(getattr(part, field), getattr(full, field)[idx]), field
+            for field in ("deviation_mean", "deviation_se", "smoothing_sqerr_mean",
+                          "smoothing_sqerr_se", "control_energy_mean",
+                          "control_energy_se", "cost_mean", "cost_se"):
+                assert getattr(part, field) == getattr(full, field), field
+        assert cross_moment_check(sparse, closed, filt) == cross_moment_check(full, closed, filt)
+
+    def test_rejects_nodes_off_grid(self, mc_setup):
+        spec, sys_m, _, _, _, gains = mc_setup
+        for nodes in ([0, 501], [-1, 3], []):
+            with pytest.raises(ValueError):
+                simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
+                                  base_seed=1, nodes=nodes)
+
+    def test_divergence_between_checkpoints_fails_loudly(self, mc_setup):
+        spec, sys_m, _, _, _, gains = mc_setup
+        huge = GainSchedule(gains.times, np.full_like(gains.K, 1e12), gains.c, gains.Pi)
+        nodes = checkpoint_nodes(500, 10)
+        seeds = {derive_path_seed(8, i) for i in range(4)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as sparse:
+                simulate_ensemble(sys_m, huge, spec.mean0, spec.cov0, paths=4,
+                                  base_seed=8, nodes=nodes)
+            with pytest.raises(DivergenceError) as dense:
+                simulate_ensemble(sys_m, huge, spec.mean0, spec.cov0, paths=4,
+                                  base_seed=8)
+        message = str(sparse.value)
+        assert message == str(dense.value)
+        found = re.search(r"seed (\d+)\) at substep (\d+)", message)
+        assert found is not None, message
+        assert int(found.group(1)) in seeds
+        substep = int(found.group(2))
+        # caught at an unrequested node, before the first checkpoint after 0
+        assert 0 < substep < 4 * nodes[1] and substep % 4 == 0
+        assert (substep // 4) not in nodes
+
+
+class TestThreadedNoise:
+    def test_moments_independent_of_worker_count(self, mc_setup, monkeypatch):
+        spec, sys_m, _, _, _, gains = mc_setup
+        nodes = checkpoint_nodes(500, 10)
+
+        def serial_draw(rngs, out, workers):
+            for i, rng in enumerate(rngs):
+                out[i] = rng.standard_normal(out.shape[1:])
+
+        def simulate():
+            return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=301,
+                                     base_seed=77, nodes=nodes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_draw_normals", serial_draw)
+            reference = _run_bounded(simulate)
+
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Small noise windows: every path crosses many window boundaries.
+            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 301 * 2 * 64)
+            _assert_moments_identical(_run_bounded(simulate), reference)
+            for workers in (1, 4):
+                with monkeypatch.context() as patch:
+                    patch.setattr(montecarlo, "_worker_count", lambda paths, w=workers: w)
+                    _assert_moments_identical(_run_bounded(simulate), reference)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+
+    def test_worker_exception_reraised(self):
+        class Broken:
+            def standard_normal(self, out):
+                raise RuntimeError("generator failed")
+
+        rngs = [np.random.default_rng(i) for i in range(3)] + [Broken()]
+        with pytest.raises(RuntimeError, match="generator failed"):
+            montecarlo._draw_normals(rngs, np.empty((4, 5)), 2)
+
 
 class TestWeakConvergence:
     def test_euler_bias_below_monte_carlo_resolution(self, mc_setup):
@@ -307,6 +438,14 @@ class TestCrossMomentCheck:
         assert report.mho_within_3se >= 9
         assert report.max_P_rel_err <= 0.05
         assert report.max_T_rel_err <= 0.05
+
+    def test_unaccumulated_checkpoint_rejected(self, mc_setup):
+        spec, sys_m, filt, ctrl, closed, gains = mc_setup
+        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
+                                    base_seed=1, nodes=checkpoint_nodes(500, 10))
+        assert len(cross_moment_check(moments, closed, filt, 10).rows) == 10
+        with pytest.raises(GridMismatchError, match="not accumulated"):
+            cross_moment_check(moments, closed, filt, 5)
 
     def test_grid_mismatch_rejected(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
