@@ -14,6 +14,15 @@ mean-square deviation is Delta(t) = <Lambda, S(t)>, and the running cost is
 
 All quadratures are composite trapezoid on the shared grid, which keeps the
 minimum-cost identity discretization-consistent.
+
+RK4 evaluates the right-hand sides of T and of the mean controller state
+only at the nodes and midpoints of the shared grid, so solve_closed_loop
+tabulates K and c once on that half-step lattice (ode.rk4_stage_times,
+entries from ode.sample_grid_at, bitwise equal to interpolating at each
+stage) and the right-hand sides index into the tables; sample_grid is not
+called.  Only the gains are tabulated: (sA + sE c) and K G K' are formed
+per stage by moment_rhs, the one written form of the Lyapunov right-hand
+side.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ import numpy as np
 
 from .control import control_rhs_full
 from .errors import GridMismatchError
-from .ode import TimeGrid, congruence, integrate_matrix_ode, sample_grid
+from .ode import TimeGrid, congruence, integrate_matrix_ode, rk4_stage_times, sample_grid_at
+from .ode import sample_grid  # noqa: F401  (perfbench traces closedloop.sample_grid)
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,9 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def moment_rhs(T: np.ndarray, c_t: np.ndarray, K_t: np.ndarray, sys) -> np.ndarray:
-    """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K'."""
+    """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K' (works on stacked inputs)."""
     a_cl = sys.sA + sys.sE @ c_t
-    return a_cl @ T + T @ a_cl.T + congruence(K_t, sys.G)
+    return a_cl @ T + T @ a_cl.swapaxes(-2, -1) + congruence(K_t, sys.G)
 
 
 def solve_closed_loop(
@@ -73,6 +83,12 @@ def solve_closed_loop(
     `gain_override`, when given, replaces the optimal gain grid c(t) node for
     node (same shape); used for perturbation studies around the optimum.
     Both input solutions must share their time grid.
+
+    T and the mean controller state are integrated by RK4 over [0, tau] in
+    the grid's step count.  K(t) and c(t) are linearly interpolated from the
+    grid once, at every stage time of that integration (node k at lattice
+    index 2k, the midpoint of step k at 2k + 1), and each right-hand side
+    looks its gains up by lattice index; no sample_grid call is made.
     """
     if not np.array_equal(filter_sol.times, control_sol.times):
         raise GridMismatchError("filter and control solutions use different grids")
@@ -87,18 +103,24 @@ def solve_closed_loop(
         raise GridMismatchError(
             f"gain override shape {c_values.shape} != {control_sol.c.shape}"
         )
-    c_grid = TimeGrid(times, c_values)
-    k_grid = TimeGrid(times, filter_sol.K)
+    lattice = rk4_stage_times(0.0, tau, steps)
+    c_table = sample_grid_at(TimeGrid(times, c_values), lattice)
+    k_table = sample_grid_at(TimeGrid(times, filter_sol.K), lattice)
+    # The stage times are nonnegative multiples of h/2 = tau / (2 steps) up
+    # to round-off far below half a lattice spacing, so rounding (int(x + 0.5))
+    # recovers the index.
+    per_half_step = 2.0 * steps / tau
 
     def t_rhs(t, state):
-        return moment_rhs(state, sample_grid(c_grid, t), sample_grid(k_grid, t), sys)
+        i = int(t * per_half_step + 0.5)
+        return moment_rhs(state, c_table[i], k_table[i], sys)
 
     t0_matrix = np.kron(np.ones((2, 2)), np.outer(mean0, mean0))
     t_solution = integrate_matrix_ode(t_rhs, t0_matrix, 0.0, tau, steps, symmetrize=True)
     moments = t_solution.values
 
     def mean_rhs(t, state):
-        return (sys.sA + sys.sE @ sample_grid(c_grid, t)) @ state
+        return (sys.sA + sys.sE @ c_table[int(t * per_half_step + 0.5)]) @ state
 
     x_mean = integrate_matrix_ode(
         mean_rhs, np.concatenate([mean0, mean0]), 0.0, tau, steps

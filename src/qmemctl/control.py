@@ -101,7 +101,9 @@ def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolutio
     riccati = ControlRiccati(sys, Pi)
 
     def blocks_rhs(_t, q):
-        return np.stack(riccati.rhs_blocks(*q))
+        out = np.empty_like(q)
+        out[0], out[1], out[2] = riccati.rhs_blocks(*q)
+        return out
 
     sigma = sys.Sigma
     block_grid = integrate_matrix_ode(

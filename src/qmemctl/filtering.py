@@ -126,7 +126,9 @@ def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolutio
     riccati = FilterRiccati(sys)
 
     def blocks_rhs(_t, p):
-        return np.stack(riccati.rhs_blocks(*p))
+        out = np.empty_like(p)
+        out[0], out[1], out[2] = riccati.rhs_blocks(*p)
+        return out
 
     block_grid = integrate_matrix_ode(
         blocks_rhs, np.stack([cov0, cov0, cov0]), 0.0, tau, steps,

@@ -340,20 +340,23 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     window = max(1, min(total, _NOISE_BUDGET // max(1, count * m)))
 
     j = 0
-    while j < total:
-        width = min(window, total - j)
-        noise = np.empty((count, width, m))
-        _draw_normals(rngs, noise, workers)
-        for k in range(width):
-            g = ((z_state[:, twon:] @ l_t[j]) ** 2).sum(axis=1)
-            if j > 0:
-                energy += (0.5 * h) * (g_prev + g)
-            g_prev = g
-            z_state = z_state @ m_t[j] + noise[:, k, :] @ n_t[j]
-            j += 1
-            if j % sub == 0:
-                take_node(j // sub, j)
-        del noise
+    # A diverging path overflows on its way to inf/nan; take_node reports it
+    # as DivergenceError, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < total:
+            width = min(window, total - j)
+            noise = np.empty((count, width, m))
+            _draw_normals(rngs, noise, workers)
+            for k in range(width):
+                g = ((z_state[:, twon:] @ l_t[j]) ** 2).sum(axis=1)
+                if j > 0:
+                    energy += (0.5 * h) * (g_prev + g)
+                g_prev = g
+                z_state = z_state @ m_t[j] + noise[:, k, :] @ n_t[j]
+                j += 1
+                if j % sub == 0:
+                    take_node(j // sub, j)
+            del noise
 
     g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
     energy += (0.5 * h) * (g_prev + g_final)

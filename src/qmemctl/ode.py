@@ -8,6 +8,13 @@ uniform grid (rather than adaptive stepping) keeps the filter, control and
 moment solutions on shared nodes so gain schedules never have to be
 resampled against each other.
 
+The loop evaluates the right-hand side on the half-step lattice of
+`rk4_stage_times`: node k at index 2k and the midpoint of step k at index
+2k + 1.  A right-hand side driven by gains tabulated on that lattice (the
+closed-loop moments are) indexes into its tables instead of interpolating,
+so no solver calls `sample_grid`; `sample_grid_at` builds such a table, with
+`sample_grid`'s own weight formula, once per solve.
+
 The module also owns the stacked block-state layout both Riccati solvers
 integrate, a (3, n, n) array (B1, B2, B3) standing for the symmetric
 [[B1, B2], [B2', B3]], together with the helpers every solver shares: block
@@ -46,31 +53,58 @@ class TimeGrid:
         return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
-def _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, clock):
-    """Forward RK4 loop; `clock` maps integration time to reported time."""
-    state = np.array(init, dtype=float)
+def rk4_stage_times(t0: float, t1: float, steps: int) -> np.ndarray:
+    """Every time the forward RK4 loop evaluates its right-hand side at.
+
+    Node k sits at index 2k and the midpoint t_k + h/2 of step k at index
+    2k + 1, so the lattice index of a stage time t is round((t - t0) / (h/2)).
+    The last node is t1 itself, not t0 + steps * h.  Raises ValueError
+    unless steps >= 1 and t1 > t0.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
     times[-1] = t1
+    lattice = np.empty(2 * steps + 1)
+    lattice[0::2] = times
+    lattice[1::2] = times[:-1] + 0.5 * h
+    return lattice
+
+
+def _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, clock):
+    """Forward RK4 loop; `clock` maps integration time to reported time."""
+    stage_times = rk4_stage_times(t0, t1, steps)
+    times = stage_times[0::2].copy()
+    state = np.array(init, dtype=float)
+    h = (t1 - t0) / steps
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
     values = np.empty((steps + 1,) + state.shape)
     values[0] = state
-    for k in range(steps):
-        t = times[k]
-        t_next = times[k + 1]  # exact node time; t + h may overshoot t1 by an ulp
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * h, state + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, state + (0.5 * h) * k2)
-        k4 = rhs(t_next, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if symmetrize:
-            state = 0.5 * (state + np.swapaxes(state, -2, -1))
-        if post_step is not None:
-            state = post_step(state)
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(
-                f"non-finite state at step {k + 1} of {steps} (t = {clock(times[k + 1]):.6g})"
-            )
-        values[k + 1] = state
+    # A diverging state overflows on its way to inf/nan; the finiteness check
+    # below reports it as DivergenceError, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = times[k]
+            t_mid = stage_times[2 * k + 1]
+            t_next = times[k + 1]  # exact node time; t + h may overshoot t1 by an ulp
+            k1 = rhs(t, state)
+            k2 = rhs(t_mid, state + half_h * k1)
+            k3 = rhs(t_mid, state + half_h * k2)
+            k4 = rhs(t_next, state + h * k3)
+            state = state + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+            if symmetrize:
+                state = 0.5 * (state + state.swapaxes(-2, -1))
+            if post_step is not None:
+                state = post_step(state)
+            if not np.isfinite(state).all():
+                raise DivergenceError(
+                    f"non-finite state at step {k + 1} of {steps} (t = {clock(t_next):.6g})"
+                )
+            values[k + 1] = state
     return times, values
 
 
@@ -102,13 +136,11 @@ def integrate_matrix_ode(
 
     Raises
     ------
+    ValueError
+        If steps < 1, t1 <= t0 or the direction is unknown.
     DivergenceError
         If any state entry stops being finite, naming the step and time.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if direction == "forward":
         times, values = _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, lambda t: t)
         return TimeGrid(times, values)
@@ -127,8 +159,45 @@ def integrate_matrix_ode(
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def sample_grid_at(grid: TimeGrid, ts) -> np.ndarray:
+    """`sample_grid` at every time of `ts`, stacked along a new first axis.
+
+    Each entry is bitwise equal to the matching `sample_grid` call: the same
+    clamp, node search and weight w = (t - t_i) / (t_{i+1} - t_i), evaluated
+    elementwise.  The two are kept apart because a scalar call through this
+    form costs about four times as much, and tests call `sample_grid` at
+    every RK4 stage.  Raises ValueError, naming the first such time, if any
+    time lies outside the grid.
+    """
+    times = grid.times
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = times[0], times[-1]
+    fuzz = 64.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    outside = (ts < lo - fuzz) | (ts > hi + fuzz)
+    if outside.any():
+        t = ts[np.argmax(outside)]
+        raise ValueError(f"t = {t} outside grid range [{lo}, {hi}]")
+    # min(max(t, lo), hi), with Python's choice on ties
+    ts = np.where(lo > ts, lo, ts)
+    ts = np.where(hi < ts, hi, ts)
+    if len(times) == 1:
+        return np.repeat(grid.values[:1], ts.size, axis=0)
+    idx = np.searchsorted(times, ts, side="right") - 1
+    idx = np.clip(idx, 0, len(times) - 2)
+    w = (ts - times[idx]) / (times[idx + 1] - times[idx])
+    w = w.reshape(w.shape + (1,) * (grid.values.ndim - 1))
+    out = (1.0 - w) * grid.values[idx]
+    out += w * grid.values[idx + 1]
+    return out
+
+
 def sample_grid(grid: TimeGrid, t: float) -> np.ndarray:
-    """Linearly interpolate the grid at time t; exact at the nodes."""
+    """Linearly interpolate the grid at time t; exact at the nodes.
+
+    For one-off queries such as the off-node gains of tests and perturbation
+    studies.  No solver calls it: the closed loop tabulates its gains once
+    per solve with `sample_grid_at`, the elementwise form of this function.
+    """
     times = grid.times
     fuzz = 64.0 * np.finfo(float).eps * max(1.0, abs(times[0]), abs(times[-1]))
     if t < times[0] - fuzz or t > times[-1] + fuzz:
@@ -158,7 +227,7 @@ def symmetrize_outer_blocks(blocks: np.ndarray) -> np.ndarray:
 
 def congruence(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """K G K' (works on stacked (..., p, q) gains)."""
-    return k @ g @ np.swapaxes(k, -2, -1)
+    return k @ g @ k.swapaxes(-2, -1)
 
 
 def warn_if_not_psd(values: np.ndarray, times: np.ndarray, what: str) -> None:

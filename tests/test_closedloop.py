@@ -4,15 +4,20 @@ import pytest
 from qmemctl import (
     GridMismatchError,
     bellman_value,
+    closedloop,
+    control_rhs_full,
     decoherence_time,
     derive_system_matrices,
     min_cost_identity,
     moment_rhs,
+    ode,
     solve_closed_loop,
     solve_control,
     solve_filter,
 )
+from qmemctl.closedloop import _cumtrapz
 from qmemctl.model import ScenarioSpec
+from qmemctl.ode import TimeGrid, congruence, integrate_matrix_ode, sample_grid
 
 
 def _spec(**overrides):
@@ -38,6 +43,49 @@ def _t0(spec):
     return np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
 
 
+def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None):
+    """T, x_mean, Phi, Delta and H_pont with K and c interpolated at every RK4 stage.
+
+    The reference the tabulated gains must reproduce bitwise: each stage
+    calls sample_grid on the gain grids, as solve_closed_loop once did.
+    """
+    times = filt.times
+    steps = len(times) - 1
+    mean0 = np.asarray(mean0, dtype=float).reshape(-1)
+    c_values = ctrl.c if gain_override is None else np.asarray(gain_override, dtype=float)
+    c_grid = TimeGrid(times, c_values)
+    k_grid = TimeGrid(times, filt.K)
+
+    def t_rhs(t, state):
+        return moment_rhs(state, sample_grid(c_grid, t), sample_grid(k_grid, t), sys_m)
+
+    def mean_rhs(t, state):
+        return (sys_m.sA + sys_m.sE @ sample_grid(c_grid, t)) @ state
+
+    t0_matrix = np.kron(np.ones((2, 2)), np.outer(mean0, mean0))
+    moments = integrate_matrix_ode(t_rhs, t0_matrix, 0.0, tau, steps, symmetrize=True).values
+    x_mean = integrate_matrix_ode(mean_rhs, np.concatenate([mean0, mean0]), 0.0, tau,
+                                  steps).values
+    delta = np.einsum("ij,tij->t", sys_m.Lambda, moments + filt.P_full)
+    energy = np.einsum("tai,ab,tbj,tij->t", c_values, ctrl.Pi, c_values, moments)
+    phi = delta + _cumtrapz(energy, (times[-1] - times[0]) / steps)
+    q_dot = control_rhs_full(ctrl.Q_full, sys_m, ctrl.Pi)
+    h_pont = (np.einsum("tij,tij->t", ctrl.Q_full, congruence(filt.K, sys_m.G))
+              - np.einsum("tij,tij->t", q_dot, moments))
+    return dict(T=moments, x_mean=x_mean, Phi=phi, Delta=delta, H_pont=h_pont)
+
+
+def _assert_matches_interpolation(spec, gain_override=None):
+    sys_m, filt, ctrl, _ = _pipeline(spec)
+    override = None if gain_override is None else gain_override(ctrl)
+    closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                               gain_override=override)
+    expected = _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                          gain_override=override)
+    for name, values in expected.items():
+        assert np.array_equal(getattr(closed, name), values), name
+
+
 class TestMomentRhs:
     def test_zero_state_zero_gain(self, ref_sys):
         out = moment_rhs(np.zeros((4, 4)), np.zeros((1, 4)), np.zeros((4, 1)), ref_sys)
@@ -59,6 +107,61 @@ class TestMomentRhs:
         out = moment_rhs(t_mat, rng.standard_normal((1, 4)),
                          rng.standard_normal((4, 1)), ref_sys)
         np.testing.assert_allclose(out, out.T, atol=1e-13)
+
+    def test_stacked_input_matches_per_node(self, ref_sys):
+        rng = np.random.default_rng(8)
+        t_stack = rng.standard_normal((5, 4, 4))
+        c_stack = rng.standard_normal((5, 1, 4))
+        k_stack = rng.standard_normal((5, 4, 1))
+        stacked = moment_rhs(t_stack, c_stack, k_stack, ref_sys)
+        per_node = np.array([moment_rhs(t, c, k, ref_sys)
+                             for t, c, k in zip(t_stack, c_stack, k_stack)])
+        np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-13)
+
+
+class TestGainTables:
+    """solve_closed_loop looks its gains up in tables, bitwise as if interpolating."""
+
+    def test_reference_scenario(self):
+        _assert_matches_interpolation(_spec(steps=2000))
+
+    def test_n8_scenario(self):
+        # four coupled copies of the reference mode, two actuators, four readouts
+        n = 8
+        w = np.random.default_rng(1).standard_normal((n, n))
+        actuators = np.zeros((2, n))
+        actuators[0, 1] = actuators[1, 5] = 1.0
+        readout = np.zeros((4, n))
+        readout[np.arange(4), 2 * np.arange(4)] = 1.0
+        spec = ScenarioSpec(
+            n=n, m=n, d=2, r=4, s=n, R=np.eye(n) + 0.1 * (w + w.T), M=np.eye(n),
+            N=actuators, D=readout, F=np.eye(n), Pi=np.eye(2),
+            mean0=np.tile([1.0, 0.0], n // 2), cov0=0.5 * np.eye(n), tau=5.0, steps=500,
+        )
+        _assert_matches_interpolation(spec)
+
+    def test_gain_override(self):
+        rng = np.random.default_rng(21)
+        _assert_matches_interpolation(
+            _spec(steps=2000),
+            gain_override=lambda ctrl: ctrl.c + 0.05 * rng.standard_normal(ctrl.c.shape),
+        )
+
+    def test_one_step_grid(self):
+        _assert_matches_interpolation(_spec(tau=0.05, steps=1))
+
+    def test_no_sample_grid_call(self, monkeypatch, ref_spec, ref_sys, ref_filter,
+                                 ref_control, ref_closed):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sample_grid called")
+
+        monkeypatch.setattr(ode, "sample_grid", forbidden)
+        if hasattr(closedloop, "sample_grid"):
+            monkeypatch.setattr(closedloop, "sample_grid", forbidden)
+        closed = solve_closed_loop(ref_sys, ref_filter, ref_control, ref_spec.mean0,
+                                   ref_spec.tau)
+        assert np.array_equal(closed.T, ref_closed.T)
+        assert np.array_equal(closed.x_mean, ref_closed.x_mean)
 
 
 class TestSolveClosedLoop:

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ class TestEnsemble:
         # caught at an unrequested node, before the first checkpoint after 0
         assert 0 < substep < 4 * nodes[1] and substep % 4 == 0
         assert (substep // 4) not in nodes
+
+    @pytest.mark.parametrize("nodes", [None, checkpoint_nodes(500, 10)])
+    def test_divergence_raises_without_overflow_warnings(self, mc_setup, nodes):
+        spec, sys_m, _, _, _, gains = mc_setup
+        huge = GainSchedule(gains.times, np.full_like(gains.K, 1e6), gains.c, gains.Pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                simulate_ensemble(sys_m, huge, spec.mean0, spec.cov0, paths=4,
+                                  base_seed=8, nodes=nodes)
+        # path 0 leaves the floats first, at substep 84 of 4 per node (h = 0.0025)
+        assert str(err.value) == (
+            f"non-finite path state (seed {derive_path_seed(8, 0)}) at substep 84 (t = 0.21)"
+        )
 
 
 class TestThreadedNoise:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qmemctl import DivergenceError, TimeGrid, integrate_matrix_ode, sample_grid
+from qmemctl.ode import rk4_stage_times, sample_grid_at
 
 
 def test_zero_rhs_constant_solution():
@@ -74,6 +76,35 @@ def test_divergence_reports_step_and_time():
         integrate_matrix_ode(lambda t, x: x * x, np.array([[1.0]]), 0.0, 2.0, 40)
 
 
+def test_divergence_raises_without_overflow_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"step \d+.*t = ") as err:
+            integrate_matrix_ode(lambda t, x: x * x, np.array([[1.0]]), 0.0, 2.0, 40)
+    assert str(err.value) == "non-finite state at step 23 of 40 (t = 1.15)"
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_rhs_evaluated_on_the_stage_lattice(direction):
+    t0, t1, steps = 0.3, 2.9, 7
+    seen = []
+
+    def rhs(t, x):
+        seen.append(t)
+        return -x
+
+    integrate_matrix_ode(rhs, np.eye(2), t0, t1, steps, direction=direction)
+    lattice = rk4_stage_times(t0, t1, steps)
+    expected = [lattice[i] for k in range(steps)
+                for i in (2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2)]
+    if direction == "backward":
+        expected = [(t0 + t1) - s for s in expected]
+    assert seen == expected
+    assert lattice[0] == t0 and lattice[-1] == t1
+    h = (t1 - t0) / steps
+    assert np.array_equal(np.rint((lattice - t0) / (0.5 * h)), np.arange(2 * steps + 1))
+
+
 def test_single_step_grid():
     grid = integrate_matrix_ode(lambda t, x: np.zeros_like(x), np.eye(2), 0.0, 5.0, 1)
     assert len(grid.times) == 2
@@ -110,3 +141,26 @@ class TestSampleGrid:
             sample_grid(grid, -0.1)
         with pytest.raises(ValueError):
             sample_grid(grid, 1.1)
+
+    def test_vectorised_form_matches_per_time_calls(self):
+        rng = np.random.default_rng(1)
+        times = np.linspace(0.0, 5.0, 41)
+        grid = TimeGrid(times, rng.standard_normal((41, 3, 2)))
+        fuzz = 64.0 * np.finfo(float).eps * 5.0
+        ts = np.concatenate([
+            rk4_stage_times(0.0, 5.0, 40), rk4_stage_times(0.0, 5.0 + 0.25 * fuzz, 40),
+            rng.uniform(0.0, 5.0, 50), [-0.5 * fuzz, 5.0 + 0.5 * fuzz, -0.0],
+        ])
+        table = sample_grid_at(grid, ts)
+        assert table.shape == (len(ts), 3, 2)
+        for t, row in zip(ts, table):
+            assert np.array_equal(row, sample_grid(grid, float(t)))
+
+    def test_vectorised_form_on_one_node_grid(self):
+        grid = TimeGrid([0.0], np.ones((1, 2, 2)))
+        assert np.array_equal(sample_grid_at(grid, [0.0, 0.0]), np.ones((2, 2, 2)))
+
+    def test_vectorised_form_rejects_out_of_range(self):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 5), np.ones((5, 1, 1)))
+        with pytest.raises(ValueError, match=r"t = 1\.1 outside"):
+            sample_grid_at(grid, [0.5, 1.1, -0.1])
