@@ -6,7 +6,7 @@ solve the forward smoothing/filtering Riccati equation for the Kalman gain
 schedule (filtering), solve the backward control Riccati equation for the
 feedback gain schedule (control), propagate closed-loop moments and cost
 functionals (closedloop), and verify everything against a classical
-Gaussian surrogate simulation (montecarlo).
+Gaussian surrogate simulation (montecarlo), with pass/fail limits (checks).
 """
 
 from .closedloop import (
@@ -54,13 +54,11 @@ from .montecarlo import (
     CrossMomentReport,
     GainSchedule,
     SampleMoments,
-    SurrogatePath,
     checkpoint_nodes,
     cross_moment_check,
     derive_path_seed,
     gain_schedule,
     psd_sqrt,
-    sample_path,
     simulate_ensemble,
 )
 from .ode import TimeGrid, integrate_matrix_ode, sample_grid

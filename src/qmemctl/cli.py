@@ -14,6 +14,10 @@ Scenario files are JSON with matrices as row-major nested (or flat) arrays;
 the fields and their defaults are listed in `load_scenario`'s docstring, and
 scenarios/reference.json is a complete example.  Numbers are emitted with 17 significant digits,
 so reruns with identical configuration produce byte-identical artifacts.
+
+summary.json lists under "checks" the gates of qmemctl.checks that the
+command ran, and the exit status is 1 when one of them fails (or on an error
+or an invalid scenario), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -22,38 +26,20 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import closedloop, control, filtering, model, montecarlo
+from . import checks, closedloop, control, filtering, model, montecarlo
 from .errors import PipelineError, QmemctlError, ScenarioFormatError
 
 DEFAULT_PATHS = 10_000
 DEFAULT_SEED = 1_234_567
 DEFAULT_EPSILON = 0.1
 DEFAULT_SUBSTEPS = 4
-STEPS_PER_TIME_UNIT = 2000
-
-COST_IDENTITY_RTOL = 1e-6
-MC_P_REL_LIMIT = 0.05
-MC_CHECKPOINTS = 10
 
 COMMANDS = ("validate", "filter", "control", "simulate", "montecarlo", "decoherence", "full")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario: Path
-    out: Path
-    steps: int | None = None
-    paths: int | None = None
-    seed: int | None = None
-    epsilon: float | None = None
-    phi_star: float | None = None
-    write_moments: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +173,7 @@ def load_scenario(path) -> model.ScenarioSpec:
         cov0=_field_matrix("cov0", data["cov0"], n, n) if "cov0" in data else 0.5 * np.eye(n),
         tau=tau,
         steps=_field_int("steps", data["steps"]) if "steps" in data
-        else int(math.ceil(STEPS_PER_TIME_UNIT * tau)),
+        else checks.default_steps(tau),
     )
     return spec
 
@@ -319,17 +305,18 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(f"stage '{name}' failed: {exc}") from exc
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status.
+def run(args: argparse.Namespace) -> int:
+    """Execute one command, given the options _build_parser parses.
 
-    Nonzero exactly when a hard error occurs, the scenario is invalid, or an
-    error-level numerical check fails (cost identity, Monte Carlo agreement).
+    Returns the process exit status: nonzero exactly when a hard error
+    occurs, the scenario is invalid, or a gate of qmemctl.checks fails (cost
+    identity, Monte Carlo agreement).
     """
-    spec = _stage("load", load_scenario, config.scenario)
-    if config.steps is not None:
-        spec = replace(spec, steps=config.steps)
+    spec = _stage("load", load_scenario, args.scenario)
+    if args.steps is not None:
+        spec = replace(spec, steps=args.steps)
 
-    if config.command == "validate":
+    if args.command == "validate":
         report = model.validate_spec(spec)
         print(json.dumps(_jsonable({
             "valid": report.ok,
@@ -340,26 +327,26 @@ def run(config: RunConfig) -> int:
         }), indent=2, sort_keys=True))
         return 0 if report.ok else 1
 
-    out = Path(config.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     sys_m = _stage("model", model.derive_system_matrices, spec)
     filt = _stage("filter", filtering.solve_filter, sys_m, spec.cov0, spec.tau, spec.steps)
-    if config.command == "filter":
+    if args.command == "filter":
         _write_filter_csv(out / "filter.csv", filt)
         print(f"wrote {out / 'filter.csv'}")
         return 0
 
     ctrl = _stage("control", control.solve_control, sys_m, spec.Pi, spec.tau, spec.steps)
-    if config.command == "control":
+    if args.command == "control":
         _write_control_csv(out / "control.csv", ctrl)
         print(f"wrote {out / 'control.csv'}")
         return 0
 
     closed = _stage("closedloop", closedloop.solve_closed_loop,
                     sys_m, filt, ctrl, spec.mean0, spec.tau)
-    if config.command == "simulate":
-        _write_closedloop_csv(out / "closedloop.csv", closed, config.write_moments)
+    if args.command == "simulate":
+        _write_closedloop_csv(out / "closedloop.csv", closed, args.moments)
         print(f"wrote {out / 'closedloop.csv'}")
         return 0
 
@@ -367,29 +354,18 @@ def run(config: RunConfig) -> int:
     t0_matrix = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
     identity = _stage("identity", closedloop.min_cost_identity,
                       filt, ctrl, t0_matrix, sys_m.Lambda, sys_m.G)
-    identity_residual = abs(phi_tau - identity) / (1.0 + abs(phi_tau))
+    gates = checks.cost_identity(phi_tau, identity, spec.tau, spec.steps)
+    identity_residual = gates["cost_identity"]["value"]
+    # The Pontryagin trace is reported but not gated: its time variation is
+    # structural (the Kalman-gain forcing K(t) G K(t)' is time-dependent), so
+    # a threshold on it would fail every healthy run.
     h_mean = float(closed.H_pont.mean())
     h_variation = float(np.max(np.abs(closed.H_pont - h_mean)) / (1.0 + abs(h_mean)))
 
-    epsilon = DEFAULT_EPSILON if config.epsilon is None else config.epsilon
-    phi_star = default_phi_star(sys_m, spec) if config.phi_star is None else config.phi_star
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    phi_star = default_phi_star(sys_m, spec) if args.phi_star is None else args.phi_star
     tau_dec = _stage("decoherence", closedloop.decoherence_time,
                      closed.times, closed.Phi, epsilon, phi_star)
-
-    # The Pontryagin trace is reported but not gated: its time variation is
-    # structural (the Kalman-gain forcing K(t) G K(t)' is time-dependent), so
-    # a threshold on it would fail every healthy run.  The identity residual
-    # is pure quadrature error, O(h^2); the gate is pinned at 1e-6 for the
-    # default grid density and relaxes quadratically on coarser grids.
-    default_steps = int(math.ceil(STEPS_PER_TIME_UNIT * spec.tau))
-    identity_limit = COST_IDENTITY_RTOL * max(1.0, (default_steps / spec.steps) ** 2)
-    checks = {
-        "cost_identity": {
-            "passed": bool(identity_residual <= identity_limit),
-            "value": identity_residual,
-            "limit": identity_limit,
-        },
-    }
 
     summary = {
         "scenario": {
@@ -414,21 +390,18 @@ def run(config: RunConfig) -> int:
         },
     }
 
-    if config.command in ("montecarlo", "full"):
-        paths = DEFAULT_PATHS if config.paths is None else config.paths
-        seed = DEFAULT_SEED if config.seed is None else config.seed
+    if args.command in ("montecarlo", "full"):
+        paths = DEFAULT_PATHS if args.paths is None else args.paths
+        seed = DEFAULT_SEED if args.seed is None else args.seed
         gains = montecarlo.gain_schedule(filt, ctrl)
         moments = _stage("montecarlo", montecarlo.simulate_ensemble,
                          sys_m, gains, spec.mean0, spec.cov0, paths, seed,
                          DEFAULT_SUBSTEPS,
-                         nodes=montecarlo.checkpoint_nodes(spec.steps, MC_CHECKPOINTS))
+                         nodes=montecarlo.checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
         report = _stage("montecarlo", montecarlo.cross_moment_check,
-                        moments, closed, filt, MC_CHECKPOINTS)
+                        moments, closed, filt, checks.CHECKPOINTS)
         delta_ode = float(closed.Delta[-1])
-        delta_z = (
-            abs(moments.deviation_mean - delta_ode) / moments.deviation_se
-            if moments.deviation_se > 0 else 0.0
-        )
+        gates.update(checks.monte_carlo(moments, report, delta_ode))
         summary["montecarlo"] = {
             "paths": paths,
             "base_seed": seed,
@@ -436,7 +409,7 @@ def run(config: RunConfig) -> int:
             "delta_mc": moments.deviation_mean,
             "delta_se": moments.deviation_se,
             "delta_ode": delta_ode,
-            "delta_z": delta_z,
+            "delta_z": gates["mc_delta_within_3se"]["value"],
             "cost_mc": moments.cost_mean,
             "cost_se": moments.cost_se,
             "smoothing_sqerr_mc": moments.smoothing_sqerr_mean,
@@ -447,30 +420,14 @@ def run(config: RunConfig) -> int:
             "checkpoints": len(report.rows),
             "e_mean_within_3se": report.e_mean_within_3se,
         }
-        checks["mc_delta_within_3se"] = {
-            "passed": bool(delta_z <= 3.0), "value": delta_z, "limit": 3.0,
-        }
-        checks["mc_P_relative_error"] = {
-            "passed": bool(report.max_P_rel_err <= MC_P_REL_LIMIT),
-            "value": report.max_P_rel_err, "limit": MC_P_REL_LIMIT,
-        }
-        checks["mc_mho_checkpoints"] = {
-            "passed": bool(report.mho_within_3se >= len(report.rows) - 1),
-            "value": report.mho_within_3se,
-            "limit": len(report.rows) - 1,
-        }
-        checks["mc_e_mean"] = {
-            "passed": bool(report.e_mean_within_3se),
-            "value": report.e_mean_within_3se, "limit": True,
-        }
         _write_montecarlo_csv(out / "montecarlo.csv", report)
 
-    summary["checks"] = checks
+    summary["checks"] = gates
 
-    if config.command == "full":
+    if args.command == "full":
         _write_filter_csv(out / "filter.csv", filt)
         _write_control_csv(out / "control.csv", ctrl)
-        _write_closedloop_csv(out / "closedloop.csv", closed, config.write_moments)
+        _write_closedloop_csv(out / "closedloop.csv", closed, args.moments)
 
     _write_summary(out / "summary.json", summary)
 
@@ -479,7 +436,7 @@ def run(config: RunConfig) -> int:
         print("decoherence threshold not reached within horizon")
     else:
         print(f"decoherence time = {_fmt(tau_dec)}")
-    failed = sorted(name for name, chk in checks.items() if not chk["passed"])
+    failed = checks.failed(gates)
     if failed:
         print(f"FAILED checks: {', '.join(failed)}")
     print(f"wrote {out / 'summary.json'}")
@@ -511,19 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        scenario=Path(args.scenario),
-        out=Path(args.out),
-        steps=args.steps,
-        paths=args.paths,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        phi_star=args.phi_star,
-        write_moments=args.moments,
-    )
     try:
-        return run(config)
+        return run(args)
     except QmemctlError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

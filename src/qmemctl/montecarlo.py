@@ -30,7 +30,9 @@ filling.  Which thread fills a row cannot change the row, and the propagation
 and the moment sums that follow run in one thread over whole arrays, so every
 output is bit-identical whatever the thread count.  Moments are accumulated
 only at the requested grid nodes (see checkpoint_nodes); the state is checked
-for finiteness at every node.
+for finiteness at every node.  The oracle returns ensemble statistics only
+(simulate_ensemble); two paths with one seed give a single path's trajectory
+as their mean.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import checks
 from .errors import DivergenceError, GridMismatchError
 
 _MASK64 = (1 << 64) - 1
@@ -130,16 +133,6 @@ def gain_schedule(filter_sol, control_sol) -> GainSchedule:
 
 
 @dataclass(frozen=True)
-class SurrogatePath:
-    """One simulated path sampled at the gain-grid nodes."""
-
-    times: np.ndarray
-    sX: np.ndarray            # (N+1, 2n)
-    x: np.ndarray             # (N+1, 2n)
-    control_energy: float     # per-path int ||U||_Pi^2 dt (substep trapezoid)
-
-
-@dataclass(frozen=True)
 class SampleMoments:
     """Ensemble statistics accumulated at the requested grid nodes.
 
@@ -224,7 +217,7 @@ def _node_indices(nodes, steps: int) -> np.ndarray:
 
 
 def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
-               substeps_per_node: int, record_paths: bool, nodes=None):
+               substeps_per_node: int, nodes) -> SampleMoments:
     """Vectorized Euler-Maruyama over all requested paths.
 
     The per-substep update of the joint row state z = (e, x), e = sX - x, is
@@ -301,9 +294,6 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     e_second_sum = np.zeros((kept, twon, twon))
     cross_sum = np.zeros((kept, twon, twon))
     cross_sq_sum = np.zeros((kept, twon, twon))
-    if record_paths:
-        traj_s = np.empty((count, kept, twon))
-        traj_x = np.empty((count, kept, twon))
 
     # y = (sX; x) at the current node; its initial-copy block is X0 for good.
     y_state = np.empty((count, 2 * twon))
@@ -330,9 +320,6 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         e_second_sum[k] += err.T @ err
         cross_sum[k] += x_part.T @ err
         cross_sq_sum[k] += (x_part * x_part).T @ (err * err)
-        if record_paths:
-            traj_s[:, k] = y_state[:, :twon]
-            traj_x[:, k] = x_part
 
     take_node(0, 0)
     energy = np.zeros(count)
@@ -374,7 +361,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     energy_mean, energy_se = _mean_se(energy)
     cost_mean, cost_se = _mean_se(cost_paths)
 
-    moments = SampleMoments(
+    return SampleMoments(
         paths=count,
         nodes=nodes,
         times=times[nodes],
@@ -393,22 +380,6 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         cost_mean=cost_mean,
         cost_se=cost_se,
     )
-    if record_paths:
-        return moments, traj_s, traj_x, energy
-    return moments, None, None, energy
-
-
-def sample_path(sys, gains: GainSchedule, mean0, cov0_factor, seed: int,
-                substeps_per_node: int = 4) -> SurrogatePath:
-    """Simulate one path, recorded at the gain-grid nodes.
-
-    `cov0_factor` is any matrix square root of the initial covariance (see
-    psd_sqrt).  Identical seeds reproduce bit-identical paths.
-    """
-    moments, traj_s, traj_x, energy = _propagate(
-        sys, gains, mean0, cov0_factor, [seed], substeps_per_node, record_paths=True
-    )
-    return SurrogatePath(moments.times, traj_s[0], traj_x[0], float(energy[0]))
 
 
 def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
@@ -424,9 +395,9 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
     or not, where it is seen.  The result is bit-identical for any thread
     count, and for any `nodes` at the nodes both runs accumulate.
 
-    Seeds default to derive_path_seed(base_seed, i) for i = 0..paths-1; the
-    `seeds` override exists for degenerate-sanity tests (for instance two
-    identical seeds giving zero empirical variance).
+    Seeds default to derive_path_seed(base_seed, i) for i = 0..paths-1.  The
+    `seeds` override serves tests: with paths=2 and two identical seeds the
+    empirical variance is zero and every mean is that one path, bitwise.
     """
     if paths < 2:
         raise ValueError(f"need at least 2 paths, got {paths}")
@@ -435,11 +406,7 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
     elif len(seeds) != paths:
         raise ValueError(f"{len(seeds)} seeds supplied for {paths} paths")
     factor = psd_sqrt(cov0)
-    moments, _, _, _ = _propagate(
-        sys, gains, mean0, factor, list(seeds), substeps_per_node, record_paths=False,
-        nodes=nodes,
-    )
-    return moments
+    return _propagate(sys, gains, mean0, factor, list(seeds), substeps_per_node, nodes)
 
 
 @dataclass(frozen=True)
@@ -464,13 +431,6 @@ class CrossMomentReport:
     max_T_rel_err: float
 
 
-def _z_scores(mean: np.ndarray, se: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.abs(mean) / se
-    z = np.where(se > 0, z, np.where(np.abs(mean) > 0, np.inf, 0.0))
-    return z
-
-
 def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
     denom = float(np.linalg.norm(reference))
     diff = float(np.linalg.norm(estimate - reference))
@@ -480,13 +440,17 @@ def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
 
 
 def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
-                       checkpoints: int = 10) -> CrossMomentReport:
+                       checkpoints: int = checks.CHECKPOINTS) -> CrossMomentReport:
     """Compare empirical moments against P, T and the zero cross-correlation.
 
-    Report-only: nothing raises on a statistical miss.  Checkpoints are
-    checkpoint_nodes(steps, checkpoints) of the filter grid (first and last
-    included); the ensemble must have accumulated each of them, so pass the
-    same nodes to simulate_ensemble or let it default to every node.
+    Report-only: nothing raises on a statistical miss; checks.monte_carlo
+    turns the report into pass/fail gates.  A z-score (checks.z_score) counts
+    as within 3 sigma when it is at most checks.Z_LIMIT; a NaN residual
+    makes its z-score inf and the maximum relative errors NaN, so it fails.
+    Checkpoints are checkpoint_nodes(steps, checkpoints) of the filter grid
+    (first and last included); the ensemble must have accumulated each of
+    them, so pass the same nodes to simulate_ensemble or let it default to
+    every node.
     GridMismatchError is raised when the ensemble's nodes do not lie on the
     filter and closed-loop grids or a checkpoint was not accumulated.
     """
@@ -514,8 +478,8 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
     mho_ok = 0
     e_ok = True
     for i, node in zip(slots, nodes):
-        mho_z = _z_scores(moments.cross_xe[i], mho_se[i])
-        e_z = _z_scores(e_mean[i], e_mean_se[i])
+        mho_z = checks.z_score(moments.cross_xe[i], mho_se[i])
+        e_z = checks.z_score(e_mean[i], e_mean_se[i])
         row = CheckpointResidual(
             t=float(moments.times[i]),
             mho_max_abs=float(np.max(np.abs(moments.cross_xe[i]))),
@@ -526,15 +490,16 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
             T_rel_err=_rel_err(x_second[i], closedloop_sol.T[node]),
         )
         rows.append(row)
-        if row.mho_max_z <= 3.0:
+        if row.mho_max_z <= checks.Z_LIMIT:
             mho_ok += 1
-        if row.e_mean_max_z > 3.0:
+        if row.e_mean_max_z > checks.Z_LIMIT:
             e_ok = False
 
     return CrossMomentReport(
         rows=tuple(rows),
         mho_within_3se=mho_ok,
         e_mean_within_3se=e_ok,
-        max_P_rel_err=max(r.P_rel_err for r in rows),
-        max_T_rel_err=max(r.T_rel_err for r in rows),
+        # np.max, unlike max(), returns NaN when any row is NaN.
+        max_P_rel_err=float(np.max([r.P_rel_err for r in rows])),
+        max_T_rel_err=float(np.max([r.T_rel_err for r in rows])),
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from conftest import random_valid_scenario, reference_spec
 from qmemctl import (
+    checks,
     cross_moment_check,
     derive_system_matrices,
     filter_rhs_full,
@@ -130,11 +131,12 @@ def test_c06_cost_identity(acc_spec, acc_sys, acc_filter, acc_control):
     t0 = np.kron(np.ones((2, 2)), np.outer(acc_spec.mean0, acc_spec.mean0))
     identity = min_cost_identity(acc_filter, acc_control, t0, acc_sys.Lambda, acc_sys.G)
     elapsed = time.perf_counter() - start
-    phi = float(closed.Phi[-1])
-    residual = abs(phi - identity)
-    ok = residual <= 1e-6 * (1.0 + phi) and elapsed < 10.0
+    gate = checks.cost_identity(float(closed.Phi[-1]), identity, acc_spec.tau,
+                                acc_spec.steps)["cost_identity"]
+    ok = gate["passed"] and elapsed < 10.0
     _report(6, "cost identity", ok,
-            f"(|Phi - identity| = {residual:.2e} vs {1e-6 * (1 + phi):.2e}, {elapsed:.2f}s)")
+            f"(|Phi - identity| / (1 + |Phi|) = {gate['value']:.2e} vs {gate['limit']:.2e}, "
+            f"{elapsed:.2f}s)")
 
 
 def pontryagin_variations(sys_m, filter_sol, control_sol, closed_sol):
@@ -209,21 +211,16 @@ def test_c09_monte_carlo_agreement(acc_spec, acc_sys, acc_filter, acc_control,
     moments = simulate_ensemble(acc_sys, gains, acc_spec.mean0, acc_spec.cov0,
                                 paths=10_000, base_seed=1_234_567,
                                 substeps_per_node=4)
-    report = cross_moment_check(moments, acc_closed, acc_filter, checkpoints=10)
+    report = cross_moment_check(moments, acc_closed, acc_filter)
     elapsed = time.perf_counter() - start
 
-    delta_ode = float(acc_closed.Delta[-1])
-    delta_z = abs(moments.deviation_mean - delta_ode) / moments.deviation_se
-    ok = (
-        delta_z <= 3.0
-        and report.max_P_rel_err <= 0.05
-        and report.mho_within_3se >= 9
-        and report.e_mean_within_3se
-        and elapsed < 60.0
-    )
+    gates = checks.monte_carlo(moments, report, float(acc_closed.Delta[-1]))
+    ok = not checks.failed(gates) and elapsed < 60.0
     _report(9, "Monte Carlo agreement", ok,
-            f"(delta z {delta_z:.2f}, max P rel {report.max_P_rel_err:.3f}, "
-            f"mho {report.mho_within_3se}/10, e-mean ok {report.e_mean_within_3se}, "
+            f"(delta z {gates['mc_delta_within_3se']['value']:.2f}, "
+            f"max P rel {report.max_P_rel_err:.3f}, "
+            f"mho {report.mho_within_3se}/{len(report.rows)}, "
+            f"e-mean ok {report.e_mean_within_3se}, failed {checks.failed(gates)}, "
             f"{elapsed:.1f}s)")
 
 

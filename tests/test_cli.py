@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmemctl import ScenarioFormatError
+from qmemctl import ScenarioFormatError, checks
 from qmemctl.cli import load_scenario, main
 
 REFERENCE = {
@@ -200,6 +200,18 @@ class TestFullPipeline:
         assert len(lines) == 11  # header + 10 checkpoints
         summary = json.loads((out / "summary.json").read_text())
         assert "montecarlo" in summary
+
+    def test_failed_gate_sets_exit_status(self, tmp_path, capsys):
+        # 30 paths cannot pin the error covariance to 5 %; the other gates hold.
+        scen = Path(__file__).resolve().parents[1] / "scenarios" / "reference.json"
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", str(scen), "--out", str(out),
+                   "--steps", "400", "--paths", "30", "--seed", "8"])
+        assert rc == 1
+        assert "FAILED checks: mc_P_relative_error\n" in capsys.readouterr().out
+        gates = json.loads((out / "summary.json").read_text())["checks"]
+        assert gates["cost_identity"]["limit"] == checks.identity_limit(5.0, 400)
+        assert checks.failed(gates) == ["mc_P_relative_error"]
 
     def test_reruns_byte_identical(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", steps=400)

@@ -16,7 +16,6 @@ from qmemctl import (
     derive_system_matrices,
     gain_schedule,
     psd_sqrt,
-    sample_path,
     simulate_ensemble,
     solve_closed_loop,
     solve_control,
@@ -155,26 +154,30 @@ class TestPsdSqrt:
         assert np.isfinite(factor).all()
 
 
+def _one_path(sys_m, gains, mean0, cov0, seed, substeps_per_node=4):
+    """Two paths with one seed: their means are that path, bitwise."""
+    return simulate_ensemble(sys_m, gains, mean0, cov0, paths=2, base_seed=0,
+                             substeps_per_node=substeps_per_node, seeds=[seed, seed])
+
+
 class TestSamplePath:
     def test_bit_identical_on_rerun(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
-        factor = psd_sqrt(spec.cov0)
-        a = sample_path(sys_m, gains, spec.mean0, factor, seed=99)
-        b = sample_path(sys_m, gains, spec.mean0, factor, seed=99)
-        assert np.array_equal(a.sX, b.sX)
-        assert np.array_equal(a.x, b.x)
-        assert a.control_energy == b.control_energy
+        a = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=99)
+        b = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=99)
+        assert np.array_equal(a.mean_y, b.mean_y)
+        assert a.control_energy_mean == b.control_energy_mean
 
     def test_initial_copy_frozen(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
-        path = sample_path(sys_m, gains, spec.mean0, psd_sqrt(spec.cov0), seed=5)
-        np.testing.assert_array_equal(path.sX[:, :2],
-                                      np.broadcast_to(path.sX[0, :2], (len(path.times), 2)))
+        path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=5)
+        np.testing.assert_array_equal(path.mean_y[:, :2],
+                                      np.broadcast_to(path.mean_y[0, :2], (len(path.times), 2)))
 
     def test_controller_initialized_at_duplicated_mean(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
-        path = sample_path(sys_m, gains, spec.mean0, psd_sqrt(spec.cov0), seed=5)
-        np.testing.assert_array_equal(path.x[0],
+        path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=5)
+        np.testing.assert_array_equal(path.mean_y[0, 4:],
                                       np.concatenate([spec.mean0, spec.mean0]))
         assert path.times[0] == 0.0
 
@@ -183,14 +186,12 @@ class TestSamplePath:
         sys_m, filt, ctrl, closed = _pipeline(spec)
         gains = gain_schedule(filt, ctrl)
         assert not filt.K.any()  # no observation channel content
-        path = sample_path(sys_m, gains, spec.mean0, np.zeros((2, 2)), seed=1,
-                           substeps_per_node=4)
-        err4 = np.max(np.abs(path.x - closed.x_mean))
+        path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=1, substeps_per_node=4)
+        err4 = np.max(np.abs(path.mean_y[:, 4:] - closed.x_mean))
         assert err4 < 5e-3  # Euler bias only, O(h)
-        np.testing.assert_allclose(path.sX, path.x, atol=1e-12)
-        path8 = sample_path(sys_m, gains, spec.mean0, np.zeros((2, 2)), seed=1,
-                            substeps_per_node=8)
-        err8 = np.max(np.abs(path8.x - closed.x_mean))
+        np.testing.assert_allclose(path.mean_y[:, :4], path.mean_y[:, 4:], atol=1e-12)
+        path8 = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=1, substeps_per_node=8)
+        err8 = np.max(np.abs(path8.mean_y[:, 4:] - closed.x_mean))
         assert 1.5 <= err4 / err8 <= 3.0  # first-order convergence
 
 
