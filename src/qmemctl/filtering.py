@@ -1,20 +1,29 @@
 """Forward filtering/smoothing Riccati solve and Kalman gain schedule.
 
-The error covariance P of the joint (initial-copy, live-state) estimator is
-propagated two independent ways on the same grid:
+The error covariance P of the joint (initial-copy, live-state) estimator
+obeys the full 2n x 2n Riccati equation
 
-* block cascade, the authoritative path:
-      dP1/dt = -P2 C' G^-1 C P2'
-      dP2/dt =  P2 (A' - C' G^-1 (C P3 + D B'))
-      dP3/dt =  A P3 + P3 A' + B B' - (P3 C' + B D') G^-1 (C P3 + D B')
-* full 2n x 2n Riccati, kept as a built-in cross-check:
-      dP/dt = sA P + P sA' + sB sB' - K G K',  K = (P sC' + sB D') G^-1.
+    dP/dt = sA P + P sA' + sB sB' - K G K',  K = (P sC' + sB D') G^-1
+          = alpha P + P alpha' + beta - P gamma P,
+
+with alpha = sA - sB D' G^-1 sC, beta = sB (I - D' G^-1 D) sB' and
+gamma = sC' G^-1 sC.  `solve_filter` steps it exactly on the grid with the
+Moebius step of `ode.mobius_riccati`, and its blocks P1, P2, P3
+(P = [[P1, P2], [P2', P3]]) are slices of that solution.  The block cascade
+
+    dP1/dt = -P2 C' G^-1 C P2'
+    dP2/dt =  P2 (A' - C' G^-1 (C P3 + D B'))
+    dP3/dt =  A P3 + P3 A' + B B' - (P3 C' + B D') G^-1 (C P3 + D B')
+
+is integrated by `solve_filter_cascade` with fixed-step RK4, an independent
+method that the tests compare the Moebius solution against; it converges
+only on grids fine enough for RK4.
 
 Both start from every block equal to Re cov(X0), which makes P(0) a
 positive-semidefinite singular matrix; nothing in this module factorizes P,
 so rank-deficient covariances are handled as-is.  Each formula, and the
 Kalman gain in its full and block forms, is written once in FilterRiccati,
-which the solver and the public right-hand-side functions share; G is
+which the solvers and the public right-hand-side functions share; G is
 inverted once per solve through its Cholesky factor.
 """
 
@@ -25,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ode import PSD_WARN_TOL  # noqa: F401  (callers read filtering.PSD_WARN_TOL)
-from .ode import congruence, integrate_matrix_ode, symmetrize_outer_blocks, warn_if_not_psd
+from .ode import (
+    assemble_blocks,
+    congruence,
+    integrate_matrix_ode,
+    mobius_riccati,
+    symmetrize_outer_blocks,
+    warn_if_not_psd,
+)
 
 
 @dataclass(frozen=True)
@@ -36,7 +52,7 @@ class FilterSolution:
     P1: np.ndarray      # (N+1, n, n), symmetric
     P2: np.ndarray      # (N+1, n, n)
     P3: np.ndarray      # (N+1, n, n), symmetric
-    P_full: np.ndarray  # (N+1, 2n, 2n), redundant full-matrix solve
+    P_full: np.ndarray  # (N+1, 2n, 2n), symmetric; solve_filter's P1..P3 are views into it
     K: np.ndarray       # (N+1, 2n, r)
 
 
@@ -52,9 +68,10 @@ def _spd_inverse(g: np.ndarray) -> np.ndarray:
 class FilterRiccati:
     """The filtering Riccati formulas, with their constant coefficients.
 
-    The coefficients (G^-1, C' G^-1, B B', ...) are computed once at
-    construction, so a solver builds one instance and evaluates the
-    right-hand sides at every Runge-Kutta stage without refactoring G.
+    The coefficients (G^-1, C' G^-1, B B', ..., and the alpha, beta, gamma
+    of the quadratic form) are computed once at construction, so a solver
+    builds one instance and evaluates the right-hand sides at every
+    Runge-Kutta stage without refactoring G.
     """
 
     def __init__(self, sys):
@@ -67,6 +84,9 @@ class FilterRiccati:
         self.a_t = sys.A.T
         self.sb_dt = sys.sB @ sys.D.T
         self.sb_sbt = sys.sB @ sys.sB.T
+        self.alpha = sys.sA - self.sb_dt @ self.ginv @ sys.sC
+        self.beta = sys.sB @ (np.eye(sys.m) - sys.D.T @ self.ginv @ sys.D) @ sys.sB.T
+        self.gamma = sys.sC.T @ self.ginv @ sys.sC
 
     def rhs_blocks(self, p1, p2, p3):
         """(dP1, dP2, dP3) of the block cascade."""
@@ -113,14 +133,36 @@ def kalman_gain(P: np.ndarray, sys) -> np.ndarray:
 
 
 def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolution:
-    """Integrate the filtering Riccati equation forward over [0, tau].
+    """Solve the filtering Riccati equation forward over [0, tau].
 
-    The block cascade is the authoritative solution (cheaper and better
-    conditioned); the full-matrix Riccati is integrated alongside it from
-    the tiled initial covariance as a redundancy check.  P1 and P3 are
-    symmetrized after every accepted step.  The gain schedule K(t) is stored
-    at every node from the block solution.  A warning (never an error) is
-    emitted if the full covariance dips below PSD tolerance anywhere.
+    One Moebius pass steps the full covariance exactly from the tiled
+    initial covariance, and the blocks P1, P2, P3 are views into it.  P is
+    symmetrized after every step.  The gain schedule K(t) is stored at every
+    node.  A warning (never an error) is emitted if the covariance dips
+    below PSD tolerance anywhere.  Raises DivergenceError if a step fails.
+    """
+    cov0 = np.asarray(cov0, dtype=float)
+    riccati = FilterRiccati(sys)
+    grid = mobius_riccati(
+        riccati.alpha, riccati.beta, riccati.gamma, np.tile(cov0, (2, 2)), 0.0, tau, steps,
+        what="filter covariance",
+    )
+    p = grid.values
+    warn_if_not_psd(p, grid.times, "filter covariance")
+    n = sys.n
+    return FilterSolution(
+        times=grid.times, P1=p[:, :n, :n], P2=p[:, :n, n:], P3=p[:, n:, n:],
+        P_full=p, K=riccati.gain(p),
+    )
+
+
+def solve_filter_cascade(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolution:
+    """Reference solve: the block cascade integrated with fixed-step RK4.
+
+    P1 and P3 are symmetrized after every step; `P_full` is assembled from
+    the blocks and K is the block-form gain.  The fixed step must be fine
+    enough for RK4 on the scenario (DivergenceError otherwise).  Tests
+    compare `solve_filter` against it; the pipeline does not run it.
     """
     cov0 = np.asarray(cov0, dtype=float)
     riccati = FilterRiccati(sys)
@@ -130,38 +172,27 @@ def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolutio
         out[0], out[1], out[2] = riccati.rhs_blocks(*p)
         return out
 
-    block_grid = integrate_matrix_ode(
+    grid = integrate_matrix_ode(
         blocks_rhs, np.stack([cov0, cov0, cov0]), 0.0, tau, steps,
         post_step=symmetrize_outer_blocks,
     )
-    p1, p2, p3 = np.moveaxis(block_grid.values, 1, 0)
-
-    full_grid = integrate_matrix_ode(
-        lambda _t, p: riccati.rhs_full(p), np.tile(cov0, (2, 2)), 0.0, tau, steps,
-        symmetrize=True,
-    )
-    warn_if_not_psd(full_grid.values, block_grid.times, "filter covariance")
-
+    p1, p2, p3 = np.moveaxis(grid.values, 1, 0)
     return FilterSolution(
-        times=block_grid.times, P1=p1, P2=p2, P3=p3,
-        P_full=full_grid.values, K=riccati.gain_blocks(p2, p3),
+        times=grid.times, P1=p1, P2=p2, P3=p3,
+        P_full=assemble_blocks(p1, p2, p3), K=riccati.gain_blocks(p2, p3),
     )
 
 
 def hamiltonian_matrix(sys) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian matrix of the filtering Riccati flow and its spectrum.
 
-    Returns ([[alpha, beta], [gamma, -alpha']], eigenvalues) with
-    alpha = sA - sB D' G^-1 sC, beta = sB (I - D' G^-1 D) sB',
-    gamma = sC' G^-1 sC.  The frozen initial-copy coordinates force a zero
-    eigenvalue of algebraic multiplicity at least 2n.  Diagnostic only;
-    nothing downstream consumes the spectrum.
+    Returns ([[alpha, beta], [gamma, -alpha']], eigenvalues) with the
+    alpha, beta, gamma of FilterRiccati.  Swapping its block rows and
+    columns gives the matrix [[-alpha', gamma], [beta, alpha]] whose
+    exponential `solve_filter` steps with, so the two share the spectrum.
+    The frozen initial-copy coordinates force a zero eigenvalue of
+    algebraic multiplicity at least 2n.
     """
-    ginv = _spd_inverse(sys.G)
-    alpha = sys.sA - sys.sB @ sys.D.T @ ginv @ sys.sC
-    beta = sys.sB @ (np.eye(sys.m) - sys.D.T @ ginv @ sys.D) @ sys.sB.T
-    gamma = sys.sC.T @ ginv @ sys.sC
-    top = np.concatenate([alpha, beta], axis=1)
-    bottom = np.concatenate([gamma, -alpha.T], axis=1)
-    h = np.concatenate([top, bottom], axis=0)
+    riccati = FilterRiccati(sys)
+    h = np.block([[riccati.alpha, riccati.beta], [riccati.gamma, -riccati.alpha.T]])
     return h, np.linalg.eigvals(h)

@@ -180,8 +180,11 @@ class SampleMoments:
         return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
 
     def cross_xe_se(self) -> np.ndarray:
-        var = self.cross_xe_sq - self.cross_xe ** 2
-        return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
+        # An overflowed entry gives a NaN standard error; checks.z_score
+        # fails it, so numpy's warnings are only noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = self.cross_xe_sq - self.cross_xe ** 2
+            return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
 
 
 def _substep_gains(gains: GainSchedule, substeps_per_node: int):
@@ -328,7 +331,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
 
     j = 0
     # A diverging path overflows on its way to inf/nan; take_node reports it
-    # as DivergenceError, so numpy's warnings are only noise.
+    # as DivergenceError, so numpy's warnings are only noise.  A path whose
+    # state stays finite while its square overflows yields an inf energy,
+    # deviation or cost below, which checks.monte_carlo fails (delta z = inf).
     with np.errstate(over="ignore", invalid="ignore"):
         while j < total:
             width = min(window, total - j)
@@ -345,21 +350,21 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                     take_node(j // sub, j)
             del noise
 
-    g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
-    energy += (0.5 * h) * (g_prev + g_final)
+        g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
+        energy += (0.5 * h) * (g_prev + g_final)
 
-    # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
-    s_final = np.empty((count, twon))
-    s_final[:, :n] = plant0
-    np.add(z_state[:, n:twon], z_state[:, twon + n:], out=s_final[:, n:])
-    deviation = np.einsum("bi,ij,bj->b", s_final, sys.Lambda, s_final)
-    smoothing = (z_state[:, :n] ** 2).sum(axis=1)
-    cost_paths = deviation + energy
+        # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
+        s_final = np.empty((count, twon))
+        s_final[:, :n] = plant0
+        np.add(z_state[:, n:twon], z_state[:, twon + n:], out=s_final[:, n:])
+        deviation = np.einsum("bi,ij,bj->b", s_final, sys.Lambda, s_final)
+        smoothing = (z_state[:, :n] ** 2).sum(axis=1)
+        cost_paths = deviation + energy
 
-    dev_mean, dev_se = _mean_se(deviation)
-    smooth_mean, smooth_se = _mean_se(smoothing)
-    energy_mean, energy_se = _mean_se(energy)
-    cost_mean, cost_se = _mean_se(cost_paths)
+        dev_mean, dev_se = _mean_se(deviation)
+        smooth_mean, smooth_se = _mean_se(smoothing)
+        energy_mean, energy_se = _mean_se(energy)
+        cost_mean, cost_se = _mean_se(cost_paths)
 
     return SampleMoments(
         paths=count,
@@ -432,8 +437,10 @@ class CrossMomentReport:
 
 
 def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
-    denom = float(np.linalg.norm(reference))
-    diff = float(np.linalg.norm(estimate - reference))
+    # An overflowed estimate reads inf (or NaN), which fails its gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.linalg.norm(reference))
+        diff = float(np.linalg.norm(estimate - reference))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else np.inf
     return diff / denom

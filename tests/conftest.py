@@ -60,6 +60,26 @@ def random_valid_scenario(rng: np.random.Generator, n: int, m: int) -> ScenarioS
     )
 
 
+def n8_spec(seed: int, steps: int) -> ScenarioSpec:
+    """Four coupled copies of the reference mode: the benchmark's n = 8 scenario.
+
+    n = m = 8, R = I + 0.1 (W + W') with W standard normal from `seed`, two
+    actuators on the momenta of modes 0 and 2, four readouts of the first
+    quadrature of each field pair, tau = 5.
+    """
+    n = 8
+    w = np.random.default_rng(seed).standard_normal((n, n))
+    actuators = np.zeros((2, n))
+    actuators[0, 1] = actuators[1, 5] = 1.0
+    readout = np.zeros((4, n))
+    readout[np.arange(4), 2 * np.arange(4)] = 1.0
+    return ScenarioSpec(
+        n=n, m=n, d=2, r=4, s=n, R=np.eye(n) + 0.1 * (w + w.T), M=np.eye(n),
+        N=actuators, D=readout, F=np.eye(n), Pi=np.eye(2),
+        mean0=np.tile([1.0, 0.0], n // 2), cov0=0.5 * np.eye(n), tau=5.0, steps=steps,
+    )
+
+
 @pytest.fixture(scope="session")
 def scenario_factory():
     return random_valid_scenario

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,20 +72,22 @@ class TestZScore:
 class TestMonteCarloGates:
     def test_non_finite_ensemble_fails_delta_gate(self, ref500):
         # A feedback gain 80 too large: the state stays finite, its square
-        # overflows, so the deviation is inf and its standard error NaN.
+        # overflows, so the deviation is inf and its standard error NaN.  The
+        # failed gate reports it; numpy prints no overflow warning on the way.
         spec, sys_m, filt, ctrl, closed = ref500
         gains = gain_schedule(filt, ctrl)
         c = gains.c.copy()
         c[:, 0, 2] += 80.0
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             moments = simulate_ensemble(
                 sys_m, GainSchedule(gains.times, gains.K, c, gains.Pi), spec.mean0,
                 spec.cov0, paths=2000, base_seed=1_234_567,
                 nodes=checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
             report = cross_moment_check(moments, closed, filt)
+            gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
         assert moments.deviation_mean == np.inf and np.isnan(moments.deviation_se)
         assert report.max_T_rel_err == np.inf
-        gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
         assert gates["mc_delta_within_3se"]["value"] == np.inf
         assert "mc_delta_within_3se" in checks.failed(gates)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import n8_spec
 from qmemctl import (
     GridMismatchError,
     bellman_value,
@@ -126,19 +127,7 @@ class TestGainTables:
         _assert_matches_interpolation(_spec(steps=2000))
 
     def test_n8_scenario(self):
-        # four coupled copies of the reference mode, two actuators, four readouts
-        n = 8
-        w = np.random.default_rng(1).standard_normal((n, n))
-        actuators = np.zeros((2, n))
-        actuators[0, 1] = actuators[1, 5] = 1.0
-        readout = np.zeros((4, n))
-        readout[np.arange(4), 2 * np.arange(4)] = 1.0
-        spec = ScenarioSpec(
-            n=n, m=n, d=2, r=4, s=n, R=np.eye(n) + 0.1 * (w + w.T), M=np.eye(n),
-            N=actuators, D=readout, F=np.eye(n), Pi=np.eye(2),
-            mean0=np.tile([1.0, 0.0], n // 2), cov0=0.5 * np.eye(n), tau=5.0, steps=500,
-        )
-        _assert_matches_interpolation(spec)
+        _assert_matches_interpolation(n8_spec(1, steps=500))
 
     def test_gain_override(self):
         rng = np.random.default_rng(21)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qmemctl import (
     feedback_gain,
     solve_control,
 )
+from qmemctl.control import solve_control_cascade
 from qmemctl.model import ScenarioSpec
 from qmemctl.ode import assemble_blocks
 
@@ -92,14 +95,22 @@ class TestSolveControl:
         )
         assert ctrl.c.shape == (101, 0, 4)
 
-    def test_two_node_grid_terminal_exact(self, ref_sys, ref_spec):
-        ctrl = solve_control(ref_sys, ref_spec.Pi, ref_spec.tau, 1)
+    def test_two_node_grid_terminal_exact(self, ref_sys, ref_spec, ref_control):
+        # One Moebius step over the whole horizon is exact, so Q(0) matches
+        # the default grid's and no PSD warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ctrl = solve_control(ref_sys, ref_spec.Pi, ref_spec.tau, 1)
         assert len(ctrl.times) == 2
         np.testing.assert_array_equal(ctrl.Q_full[-1], ref_sys.Lambda)
+        q0 = ref_control.Q_full[0]
+        scale = 1.0 + np.max(np.abs(q0))
+        assert np.max(np.abs(ctrl.Q_full[0] - q0)) <= 1e-10 * scale
 
-    def test_block_vs_full_agreement(self, ref_control):
-        assembled = assemble_blocks(ref_control.Q1, np.swapaxes(ref_control.Q2, 1, 2),
-                                    ref_control.Q3)
+    def test_block_vs_full_agreement(self, ref_sys, ref_spec, ref_control):
+        # The RK4 block cascade is the independent reference for the Moebius solve.
+        ref = solve_control_cascade(ref_sys, ref_spec.Pi, ref_spec.tau, ref_spec.steps)
+        assembled = assemble_blocks(ref.Q1, np.swapaxes(ref.Q2, 1, 2), ref.Q3)
         scale = 1.0 + np.max(np.abs(ref_control.Q_full))
         assert np.max(np.abs(assembled - ref_control.Q_full)) <= 1e-8 * scale
 

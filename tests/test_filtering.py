@@ -10,6 +10,7 @@ from qmemctl import (
     kalman_gain,
     solve_filter,
 )
+from qmemctl.filtering import solve_filter_cascade
 from qmemctl.model import ScenarioSpec
 from qmemctl.ode import TimeGrid, assemble_blocks, sample_grid
 
@@ -132,10 +133,12 @@ class TestSolveFilter:
                                    rtol=0, atol=1e-12)
 
     def test_block_vs_full_agreement_long_horizon(self):
+        # The RK4 block cascade is the independent reference for the Moebius solve.
         spec = _spec(tau=10.0, steps=4000)
         sys_m = derive_system_matrices(spec)
         filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-        assembled = assemble_blocks(filt.P1, filt.P2, filt.P3)
+        ref = solve_filter_cascade(sys_m, spec.cov0, spec.tau, spec.steps)
+        assembled = assemble_blocks(ref.P1, ref.P2, ref.P3)
         scale = 1.0 + np.max(np.abs(filt.P_full))
         assert np.max(np.abs(assembled - filt.P_full)) <= 1e-8 * scale
 

@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmemctl import DivergenceError, TimeGrid, integrate_matrix_ode, sample_grid
-from qmemctl.ode import rk4_stage_times, sample_grid_at
+from conftest import n8_spec, reference_spec
+from qmemctl import (
+    DivergenceError,
+    TimeGrid,
+    derive_system_matrices,
+    hamiltonian_matrix,
+    integrate_matrix_ode,
+    sample_grid,
+)
+from qmemctl import ode
+from qmemctl.ode import mobius_riccati, rk4_stage_times, sample_grid_at
 
 
 def test_zero_rhs_constant_solution():
@@ -164,3 +173,148 @@ class TestSampleGrid:
         grid = TimeGrid(np.linspace(0.0, 1.0, 5), np.ones((5, 1, 1)))
         with pytest.raises(ValueError, match=r"t = 1\.1 outside"):
             sample_grid_at(grid, [0.5, 1.1, -0.1])
+
+
+class TestExpmMinusIdentity:
+    """ode.expm_minus_identity against scipy.linalg.expm, and exact exponentials.
+
+    Errors are measured relative to 1 + max |expm(A) - I|.  Random general
+    matrices are compared with scipy only below theta_13 (1-norm 5.37): far
+    above it the two differ by up to 4e-11 on random inputs, and a 40-digit
+    reference puts the error on scipy's side.  Far above theta_13 the
+    references are the scenario Hamiltonians, for which the two agree, and
+    exponentials known in closed form.
+    """
+
+    SIZES = [1, 2, 3, 4, 5, 8, 13, 16, 32]
+
+    @staticmethod
+    def _rel(actual, expected):
+        return np.max(np.abs(actual - expected)) / (1.0 + np.max(np.abs(expected)))
+
+    def _check(self, a, exact=None):
+        expected = (expm(a) if exact is None else exact) - np.eye(len(a))
+        assert self._rel(ode.expm_minus_identity(a), expected) <= 1e-13
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_zero_matrix_gives_zero(self, size):
+        assert not ode.expm_minus_identity(np.zeros((size, size))).any()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_small_matrices_keep_relative_accuracy(self, size):
+        # expm(A) - I = A + A^2/2 + A^3/6 + ... to double precision at |A| = 1e-6,
+        # where forming expm(A) first would lose ten digits.
+        a = np.random.default_rng(size).standard_normal((size, size))
+        a *= 1e-6 / np.linalg.norm(a, 1)
+        series = a + a @ a / 2.0 + a @ a @ a / 6.0
+        err = np.max(np.abs(ode.expm_minus_identity(a) - series))
+        assert err <= 1e-15 * np.max(np.abs(series))
+
+    @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.5, 2.5])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_random_matrices_below_theta13(self, size, norm):
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            a = rng.standard_normal((size, size))
+            self._check(a * (norm / np.linalg.norm(a, 1)))
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("spec", [reference_spec(10_000), n8_spec(1, 10_000)],
+                             ids=["reference", "n8"])
+    def test_scenario_hamiltonians(self, spec, scale):
+        h, _ = hamiltonian_matrix(derive_system_matrices(spec))
+        self._check(h * (spec.tau / spec.steps))
+        self._check(h * scale)
+        assert np.linalg.norm(h * 20.0, 1) > 20 * ode._THETA13
+
+    @pytest.mark.parametrize("norm", [0.5, 20.0, 60.0])
+    @pytest.mark.parametrize("size", [2, 8, 32])
+    def test_symmetric_matrices_of_known_spectrum(self, size, norm):
+        rng = np.random.default_rng(size)
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        lam = rng.uniform(-1.0, 1.0, size)
+        lam *= norm / np.max(np.abs(lam))
+        self._check((q * lam) @ q.T, exact=(q * np.exp(lam)) @ q.T)
+
+    @pytest.mark.parametrize("a, b, c", [(-300.0, 400.0, 2.0), (100.0, -500.0, 99.0),
+                                         (-0.5, 1000.0, -700.0)])
+    def test_nonnormal_triangular_closed_form(self, a, b, c):
+        exact = np.array([[np.exp(a), b * (np.exp(a) - np.exp(c)) / (a - c)],
+                          [0.0, np.exp(c)]])
+        self._check(np.array([[a, b], [0.0, c]]), exact=exact)
+
+
+def _riccati_case(seed, n=3):
+    """Random alpha, beta = B B', gamma = C C' and a PSD initial value."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((n, n))
+    b, c, p = 0.5 * rng.standard_normal((3, n, n))
+    return alpha, b @ b.T, c @ c.T, p @ p.T
+
+
+class TestMobiusRiccati:
+    def test_matches_fine_rk4(self):
+        alpha, beta, gamma, p0 = _riccati_case(1)
+
+        def rhs(_t, p):
+            return alpha @ p + p @ alpha.T + beta - p @ gamma @ p
+
+        rk4 = integrate_matrix_ode(rhs, p0, 0.0, 1.0, 4000)
+        for steps in (1, 8, 40):
+            grid = mobius_riccati(alpha, beta, gamma, p0, 0.0, 1.0, steps)
+            np.testing.assert_allclose(grid.times, rk4.times[::4000 // steps], rtol=0,
+                                       atol=1e-15)
+            assert np.array_equal(grid.values[0], p0)
+            scale = 1.0 + np.max(np.abs(rk4.values))
+            assert np.max(np.abs(grid.values - rk4.values[::4000 // steps])) <= 1e-11 * scale
+
+    def test_step_count_does_not_matter(self):
+        alpha, beta, gamma, p0 = _riccati_case(2)
+        one = mobius_riccati(alpha, beta, gamma, p0, 0.0, 2.0, 1).values[-1]
+        many = mobius_riccati(alpha, beta, gamma, p0, 0.0, 2.0, 500).values[-1]
+        assert np.max(np.abs(one - many)) <= 1e-12 * (1.0 + np.max(np.abs(many)))
+
+    def test_states_symmetric(self):
+        alpha, beta, gamma, p0 = _riccati_case(3)
+        values = mobius_riccati(alpha, beta, gamma, p0, 0.0, 1.0, 30).values
+        assert np.array_equal(values, np.swapaxes(values, 1, 2))
+
+    def test_backward_is_the_reversed_forward_solve(self):
+        alpha, beta, gamma, p0 = _riccati_case(4)
+        forward = mobius_riccati(alpha, beta, gamma, p0, 0.5, 2.0, 12)
+        backward = mobius_riccati(alpha, beta, gamma, p0, 0.5, 2.0, 12, direction="backward")
+        assert np.array_equal(backward.times, forward.times)
+        assert np.array_equal(backward.values, forward.values[::-1])
+        assert np.array_equal(backward.values[-1], p0)
+
+    def test_bad_arguments_rejected(self):
+        alpha, beta, gamma, p0 = _riccati_case(5)
+        with pytest.raises(ValueError):
+            mobius_riccati(alpha, beta, gamma, p0, 0.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            mobius_riccati(alpha, beta, gamma, p0, 1.0, 1.0, 4)
+        with pytest.raises(ValueError, match="direction"):
+            mobius_riccati(alpha, beta, gamma, p0, 0.0, 1.0, 4, direction="sideways")
+
+    def test_singular_step_names_step_and_time(self):
+        # dP/dt = P^2 from diag(1, 0) escapes at t = 1, where X = I - h P0 is singular.
+        eye = np.eye(2)
+        with pytest.raises(DivergenceError,
+                           match=r"^test: .*Phi11 \+ Phi12 P.* at step 1 of 2 \(t = 1\)$"):
+            mobius_riccati(0 * eye, 0 * eye, -eye, np.diag([1.0, 0.0]), 0.0, 2.0, 2,
+                           what="test")
+
+    def test_ill_conditioned_step_rejected(self):
+        # X = I - h diag(1, 0) has condition number 1e10 at h = 1 - 1e-10.
+        eye = np.eye(2)
+        with pytest.raises(DivergenceError, match=r"cond\(Phi11 \+ Phi12 P\) = .* step 1 of 1"):
+            mobius_riccati(0 * eye, 0 * eye, -eye, np.diag([1.0, 0.0]), 0.0, 1.0 - 1e-10, 1)
+
+    def test_overflow_raises_without_warnings(self):
+        # dp/dt = 2p from p(0) = 1e308 overflows in the first step.
+        zero = np.zeros((1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                mobius_riccati(np.ones((1, 1)), zero, zero, np.array([[1e308]]), 0.0, 1.0, 1)
+        assert str(err.value) == "Riccati solution: non-finite state at step 1 of 1 (t = 1)"
