@@ -65,12 +65,16 @@ def cost_identity(phi_tau: float, identity: float, tau: float, steps: int) -> di
 
 
 def monte_carlo(moments, report, delta_ode: float) -> dict:
-    """The four gates on an ensemble (SampleMoments) and its CrossMomentReport.
+    """The five gates on an ensemble (SampleMoments) and its CrossMomentReport.
 
     `delta_ode` is the pipeline's terminal deviation Delta(tau); the
-    ensemble's estimate of it must lie within Z_LIMIT standard errors.
+    ensemble's estimate of it must lie within Z_LIMIT standard errors.  The
+    sampled cost, its standard error and the control energy must be finite;
+    that gate's value names the statistics that are not.
     """
     delta_z = float(z_score(moments.deviation_mean - delta_ode, moments.deviation_se))
+    not_finite = [name for name in ("cost_mean", "cost_se", "control_energy_mean")
+                  if not math.isfinite(getattr(moments, name))]
     p_rel = report.max_P_rel_err
     mho_limit = len(report.rows) - 1
     return {
@@ -79,6 +83,7 @@ def monte_carlo(moments, report, delta_ode: float) -> dict:
         "mc_mho_checkpoints": _entry(report.mho_within_3se, mho_limit,
                                      report.mho_within_3se >= mho_limit),
         "mc_e_mean": _entry(report.e_mean_within_3se, True, report.e_mean_within_3se),
+        "mc_cost_finite": _entry(not_finite, [], not not_finite),
     }
 
 

@@ -22,17 +22,21 @@ the same equations give as
     x += (sA + sE c) x h + K sC e h + K D dw sqrt(h)
 
 so that e, and every statistic of the estimation error, is exactly 0 when
-there is no noise and cov0 = 0.  Each path owns a generator seeded by
-base_seed XOR splitmix64(index) and writes its draws into its own row.  Only
-that per-path drawing is threaded: contiguous path-index ranges are filled by
-one thread per available CPU, since numpy's generators release the GIL while
-filling.  Which thread fills a row cannot change the row, and the propagation
-and the moment sums that follow run in one thread over whole arrays, so every
-output is bit-identical whatever the thread count.  Moments are accumulated
-only at the requested grid nodes (see checkpoint_nodes); the state is checked
-for finiteness at every node.  The oracle returns ensemble statistics only
-(simulate_ensemble); two paths with one seed give a single path's trajectory
-as their mean.
+there is no noise and cov0 = 0.  The update is affine and its gains are
+fixed within each substep, so the substeps of one grid interval fold into
+one precomputed map per node (_node_operators): every path advances a whole
+node with two matrix products, which also yield the substeps' control-energy
+terms.  Each path owns a generator seeded by base_seed XOR
+splitmix64(index) and writes its draws into its own row, in windows of whole
+node intervals.  Only that per-path drawing is threaded: contiguous
+path-index ranges are filled by one thread per available CPU, since numpy's
+generators release the GIL while filling.  Which thread fills a row cannot
+change the row, and the propagation and the moment sums that follow run in
+one thread over whole arrays, so every output is bit-identical whatever the
+thread count.  Moments are accumulated only at the requested grid nodes (see
+checkpoint_nodes); the state is checked for finiteness at every node.  The
+oracle returns ensemble statistics only (simulate_ensemble); two paths with
+one seed give a single path's trajectory as their mean.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ from .errors import DivergenceError, GridMismatchError
 
 _MASK64 = (1 << 64) - 1
 
-# Noise is generated in time windows of at most this many doubles per path
-# batch, which bounds peak memory without changing any per-path stream.
+# Noise is generated in windows of whole node intervals, of at most this many
+# doubles over all paths unless one interval alone is larger; this bounds
+# peak memory without changing any per-path stream.
 _NOISE_BUDGET = 1 << 24
 
 
@@ -219,25 +224,87 @@ def _node_indices(nodes, steps: int) -> np.ndarray:
     return idx
 
 
-def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
-               substeps_per_node: int, nodes) -> SampleMoments:
-    """Vectorized Euler-Maruyama over all requested paths.
+def _node_operators(sys, gains: GainSchedule, sub: int):
+    """Fold the `sub` Euler-Maruyama substeps of every grid interval into one map.
 
-    The per-substep update of the joint row state z = (e, x), e = sX - x, is
-    the affine map z <- z M_j' + dw N_j' with the block lower-triangular
+    The substep j update of the joint row state z = (e, x), e = sX - x, is
+    the affine map z <- z M_j' + dw_j N_j' with the block lower-triangular
 
         M_j = [[I + h (sA - K_j sC),    0                  ],
                [h K_j sC,               I + h (sA + sE c_j)]],
         N_j = [[sqrt(h) (sB - K_j D)], [sqrt(h) K_j D]],
 
-    which is the innovation-driven scheme dZ = sC sX h + D dw sqrt(h),
-    dV = dZ - sC x h, sX += (sA sX + sE U) h + sB dw sqrt(h),
-    x += (sA x + sE U) h + K dV with U = c x, rewritten for e and folded into
-    one step.  sX = e + x is rebuilt only at the accumulated nodes (`nodes`,
-    default every node), with its initial copy taken from the held X0 so that
-    it stays bitwise frozen; the finiteness check runs at every node.  The
-    noise of each path is drawn into its own row (threaded by path range,
-    see _draw_normals) and everything after that runs on whole arrays in one
+    and its energy integrand is |L_j x_j|^2 with L_j = sqrt(Pi) c_j.  Over
+    node q, with z_q the state at the node and w_q the node's s m noise draws
+    (substep-major), the returned operators give
+
+        z_q W_z[q] + w_q W_w[q] = (z_{q+1}, L_0 x_0, ..., L_{s-1} x_{s-1}),
+
+    x_k being the controller state at the node's substep k.  Returns h,
+    W_z (steps, 4n, 4n + s d), W_w (steps, s m, 4n + s d) and L at the
+    horizon (transposed, 2n x d).  Products of block lower-triangular maps
+    keep their zero block exactly, so e stays bitwise 0 without noise.
+    """
+    steps = len(gains.times) - 1
+    h, k_sub, c_sub = _substep_gains(gains, sub)
+    sqrt_h = np.sqrt(h)
+    twon = 2 * sys.n
+    dim, m, d = 2 * twon, sys.m, gains.c.shape[1]
+    cols = dim + sub * d
+
+    # Per-substep operators, transposed for row states.
+    eye = np.eye(twon)
+    k_sc = np.matmul(k_sub, sys.sC)            # (S, 2n, 2n)
+    k_d = np.matmul(k_sub, sys.D)              # (S, 2n, m)
+    m_op = np.zeros((len(k_sub), dim, dim))
+    m_op[:, :twon, :twon] = eye + h * sys.sA - h * k_sc
+    m_op[:, twon:, :twon] = h * k_sc
+    m_op[:, twon:, twon:] = eye + h * (sys.sA + np.matmul(sys.sE, c_sub))
+    m_t = np.swapaxes(m_op, 1, 2)
+    n_op = np.empty((len(k_sub), dim, m))
+    n_op[:, :twon, :] = sqrt_h * (sys.sB - k_d)
+    n_op[:, twon:, :] = sqrt_h * k_d
+    n_t = np.swapaxes(n_op, 1, 2)
+    pi_sqrt = psd_sqrt(gains.Pi)
+    l_t = np.swapaxes(np.matmul(pi_sqrt, c_sub), 1, 2)   # (S, 2n, d)
+
+    # reach_z[q] and w_w[q, :, :dim] map the node's state and noise to the
+    # state at substep k of node q; substep k's own noise enters after it.
+    w_z = np.empty((steps, dim, cols))
+    w_w = np.zeros((steps, sub * m, cols))
+    reach_z = np.broadcast_to(np.eye(dim), (steps, dim, dim))
+    reach_w = w_w[:, :, :dim]
+    for k in range(sub):
+        l_k = l_t[k::sub]
+        out = slice(dim + k * d, dim + (k + 1) * d)
+        np.matmul(reach_z[:, :, twon:], l_k, out=w_z[:, :, out])
+        np.matmul(reach_w[:, :, twon:], l_k, out=w_w[:, :, out])
+        reach_z = reach_z @ m_t[k::sub]
+        reach_w[...] = reach_w @ m_t[k::sub]
+        reach_w[:, k * m:(k + 1) * m, :] = n_t[k::sub]
+    w_z[:, :, :dim] = reach_z
+    return h, w_z, w_w, (pi_sqrt @ gains.c[-1]).T
+
+
+def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
+               substeps_per_node: int, nodes) -> SampleMoments:
+    """Vectorized Euler-Maruyama over all requested paths, one node at a time.
+
+    Each grid interval is one affine map (see _node_operators): the row
+    state z = (e, x), e = sX - x, of every path advances to the next node by
+    z W_z[q] + w_q W_w[q], which also yields L_k x_k at each of the node's
+    substeps for the control energy, integrated by the substep trapezoid
+    h sum_{j<S} g_j + (h/2)(g_S - g_0), g_j = |L_j x_j|^2.  The products go
+    into preallocated Fortran-order buffers, so the state and the energy
+    terms are contiguous column blocks.  This is the innovation-driven
+    scheme dZ = sC sX h + D dw sqrt(h), dV = dZ - sC x h,
+    sX += (sA sX + sE U) h + sB dw sqrt(h), x += (sA x + sE U) h + K dV with
+    U = c x, rewritten for e.  sX = e + x is rebuilt only at the accumulated
+    nodes (`nodes`, default every node), with its initial copy taken from
+    the held X0 so that it stays bitwise frozen; the finiteness check runs at
+    every node.  The noise of each path is drawn into its own row (threaded
+    by path range, see _draw_normals), in windows of whole node intervals
+    that reuse one buffer; everything after that runs on whole arrays in one
     thread, so results depend only on (seeds, substeps) and are
     bit-reproducible.
     """
@@ -248,15 +315,13 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     sub = int(substeps_per_node)
     if sub < 1:
         raise ValueError(f"substeps_per_node must be >= 1, got {sub}")
-    total = steps * sub
     nodes = _node_indices(nodes, steps)
     slot = np.full(steps + 1, -1)
     slot[nodes] = np.arange(len(nodes))
-    h, k_sub, c_sub = _substep_gains(gains, sub)
-    sqrt_h = np.sqrt(h)
 
-    n, m = sys.n, sys.m
+    n, m, d = sys.n, sys.m, gains.c.shape[1]
     twon = 2 * n
+    dim = 2 * twon
     count = len(seeds)
     rngs = [np.random.default_rng(int(s)) for s in seeds]
     workers = _worker_count(count)
@@ -265,44 +330,20 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     _draw_normals(rngs, zeta, workers)
     spread0 = zeta @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
-    z_state = np.concatenate(
-        [spread0, spread0, np.tile(np.concatenate([mean0, mean0]), (count, 1))], axis=1
-    )
-
-    # Per-substep combined update operators (transposed for row states).
-    eye = np.eye(twon)
-    k_sc = np.matmul(k_sub, sys.sC)            # (S, 2n, 2n)
-    k_d = np.matmul(k_sub, sys.D)              # (S, 2n, m)
-    m_op = np.zeros((total, 2 * twon, 2 * twon))
-    m_op[:, :twon, :twon] = eye + h * sys.sA - h * k_sc
-    m_op[:, twon:, :twon] = h * k_sc
-    m_op[:, twon:, twon:] = eye + h * (sys.sA + np.matmul(sys.sE, c_sub))
-    m_t = np.ascontiguousarray(np.swapaxes(m_op, 1, 2))
-    del m_op, k_sc
-    n_op = np.empty((total, 2 * twon, m))
-    n_op[:, :twon, :] = sqrt_h * (sys.sB - k_d)
-    n_op[:, twon:, :] = sqrt_h * k_d
-    n_t = np.ascontiguousarray(np.swapaxes(n_op, 1, 2))
-    del n_op, k_d
-
-    # Energy integrand ||U||_Pi^2 = |L_j x|^2 with L_j = sqrt(Pi) c_j.
-    pi_sqrt = psd_sqrt(gains.Pi)
-    l_t = np.ascontiguousarray(np.swapaxes(np.matmul(pi_sqrt, c_sub), 1, 2))
-    l_t_final = (pi_sqrt @ gains.c[-1]).T
 
     kept = len(nodes)
-    mean_sum = np.zeros((kept, 2 * twon))
-    second_sum = np.zeros((kept, 2 * twon, 2 * twon))
+    mean_sum = np.zeros((kept, dim))
+    second_sum = np.zeros((kept, dim, dim))
     e_sum = np.zeros((kept, twon))
     e_second_sum = np.zeros((kept, twon, twon))
     cross_sum = np.zeros((kept, twon, twon))
     cross_sq_sum = np.zeros((kept, twon, twon))
 
     # y = (sX; x) at the current node; its initial-copy block is X0 for good.
-    y_state = np.empty((count, 2 * twon))
+    y_state = np.empty((count, dim), order="F")
     y_state[:, :n] = plant0
 
-    def take_node(node_idx: int, substep_idx: int):
+    def take_node(z_state, node_idx: int, substep_idx: int):
         if not np.isfinite(z_state).all():
             finite = np.isfinite(z_state).all(axis=1)
             bad = int(np.nonzero(~finite)[0][0])
@@ -324,34 +365,47 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         cross_sum[k] += x_part.T @ err
         cross_sq_sum[k] += (x_part * x_part).T @ (err * err)
 
-    take_node(0, 0)
-    energy = np.zeros(count)
-    g_prev = np.zeros(count)
-    window = max(1, min(total, _NOISE_BUDGET // max(1, count * m)))
-
-    j = 0
     # A diverging path overflows on its way to inf/nan; take_node reports it
     # as DivergenceError, so numpy's warnings are only noise.  A path whose
     # state stays finite while its square overflows yields an inf energy,
-    # deviation or cost below, which checks.monte_carlo fails (delta z = inf).
+    # deviation or cost below, which checks.monte_carlo fails (delta z = inf
+    # or mc_cost_finite).
     with np.errstate(over="ignore", invalid="ignore"):
-        while j < total:
-            width = min(window, total - j)
-            noise = np.empty((count, width, m))
+        h, w_z, w_w, l_t_final = _node_operators(sys, gains, sub)
+        cols = w_z.shape[2]
+        # state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
+        state, ahead, drive = (np.empty((count, cols), order="F") for _ in range(3))
+        state[:, :n] = spread0
+        state[:, n:twon] = spread0
+        state[:, twon:dim] = np.concatenate([mean0, mean0])
+        take_node(state[:, :dim], 0, 0)
+
+        squares = np.zeros((count, cols - dim), order="F")
+        draws = sub * m
+        window = max(1, min(steps, _NOISE_BUDGET // max(1, count * draws)))
+        buffer = np.empty(count * window * draws)
+        q = 0
+        while q < steps:
+            width = min(window, steps - q)
+            noise = buffer[:count * width * draws].reshape(count, width * draws)
             _draw_normals(rngs, noise, workers)
             for k in range(width):
-                g = ((z_state[:, twon:] @ l_t[j]) ** 2).sum(axis=1)
-                if j > 0:
-                    energy += (0.5 * h) * (g_prev + g)
-                g_prev = g
-                z_state = z_state @ m_t[j] + noise[:, k, :] @ n_t[j]
-                j += 1
-                if j % sub == 0:
-                    take_node(j // sub, j)
-            del noise
+                np.matmul(state[:, :dim], w_z[q], out=ahead)
+                np.matmul(noise[:, k * draws:(k + 1) * draws], w_w[q], out=drive)
+                np.add(ahead, drive, out=ahead)
+                state, ahead = ahead, state
+                terms = state[:, dim:]
+                if q == 0:
+                    g_first = (terms[:, :d] ** 2).sum(axis=1)
+                np.multiply(terms, terms, out=drive[:, dim:])
+                squares += drive[:, dim:]
+                q += 1
+                take_node(state[:, :dim], q, q * sub)
+        del buffer, noise
 
+        z_state = state[:, :dim]
         g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
-        energy += (0.5 * h) * (g_prev + g_final)
+        energy = h * squares.sum(axis=1) + (0.5 * h) * (g_final - g_first)
 
         # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
         s_final = np.empty((count, twon))

@@ -112,3 +112,17 @@ class TestMonteCarloGates:
         assert report.rows[5].e_mean_max_z == np.inf
         gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
         assert not gates["mc_e_mean"]["passed"]
+
+    def test_non_finite_energy_fails_cost_gate(self, ref500):
+        spec, sys_m, filt, ctrl, closed = ref500
+        moments = _healthy_ensemble(ref500)
+        report = cross_moment_check(moments, closed, filt)
+        delta_ode = float(closed.Delta[-1])
+        healthy = checks.monte_carlo(moments, report, delta_ode)
+        assert healthy["mc_cost_finite"] == {"passed": True, "value": [], "limit": []}
+        broken = dataclasses.replace(moments, control_energy_mean=np.inf)
+        gates = checks.monte_carlo(broken, report, delta_ode)
+        assert math.isfinite(broken.deviation_mean)
+        assert gates["mc_delta_within_3se"] == healthy["mc_delta_within_3se"]
+        assert gates["mc_cost_finite"]["value"] == ["control_energy_mean"]
+        assert "mc_cost_finite" in checks.failed(gates)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmemctl import ScenarioFormatError, checks
+from qmemctl import ScenarioFormatError, checks, montecarlo
 from qmemctl.cli import load_scenario, main
 
 REFERENCE = {
@@ -212,6 +213,21 @@ class TestFullPipeline:
         gates = json.loads((out / "summary.json").read_text())["checks"]
         assert gates["cost_identity"]["limit"] == checks.identity_limit(5.0, 400)
         assert checks.failed(gates) == ["mc_P_relative_error"]
+
+    def test_non_finite_cost_sets_exit_status(self, tmp_path, capsys, monkeypatch):
+        simulate = montecarlo.simulate_ensemble
+        monkeypatch.setattr(montecarlo, "simulate_ensemble", lambda *args, **kwargs: replace(
+            simulate(*args, **kwargs), control_energy_mean=np.inf, cost_mean=np.inf))
+        scen = write_scenario(tmp_path / "s.json", steps=400)
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", str(scen), "--out", str(out),
+                   "--paths", "30", "--seed", "8"])
+        assert rc == 1
+        gates = json.loads((out / "summary.json").read_text())["checks"]
+        assert "mc_cost_finite" in checks.failed(gates)
+        assert f"FAILED checks: {', '.join(checks.failed(gates))}\n" in capsys.readouterr().out
+        assert gates["mc_cost_finite"] == {
+            "passed": False, "value": ["cost_mean", "control_energy_mean"], "limit": []}
 
     def test_reruns_byte_identical(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", steps=400)

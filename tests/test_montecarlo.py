@@ -2,11 +2,13 @@ import dataclasses
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import n8_spec, random_valid_scenario
 from qmemctl import (
     DivergenceError,
     GridMismatchError,
@@ -360,6 +362,131 @@ class TestEnsemble:
         assert str(err.value) == (
             f"non-finite path state (seed {derive_path_seed(8, 0)}) at substep 84 (t = 0.21)"
         )
+
+
+def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
+    """Euler-Maruyama one substep at a time, as the oracle's per-node maps fold it.
+
+    Every path draws its X0 normals and then all its substep noise from its
+    own generator, so its stream is the one simulate_ensemble consumes in
+    windows.  Returns simulate_ensemble's SampleMoments for the same inputs.
+    """
+    mean0 = np.asarray(mean0, dtype=float)
+    n, m = sys_m.n, sys_m.m
+    twon = 2 * n
+    count = len(seeds)
+    steps = len(gains.times) - 1
+    total = steps * sub
+    h = float(gains.times[-1] - gains.times[0]) / total
+    nodes = np.unique(np.arange(steps + 1) if nodes is None else nodes)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    zeta = np.array([rng.standard_normal(n) for rng in rngs])
+    noise = np.array([rng.standard_normal((total, m)) for rng in rngs])
+    spread0 = zeta @ psd_sqrt(cov0).T
+    plant0 = mean0 + spread0
+    e = np.concatenate([spread0, spread0], axis=1)
+    x = np.tile(np.concatenate([mean0, mean0]), (count, 1))
+    pi_root = psd_sqrt(gains.Pi)
+    sums = {name: [] for name in ("mean_y", "second_y", "mean_e", "second_e",
+                                  "cross_xe", "cross_xe_sq")}
+
+    def plant(e, x):
+        return np.concatenate([plant0, e[:, n:] + x[:, n:]], axis=1)
+
+    def record(e, x):
+        y = np.concatenate([plant(e, x), x], axis=1)
+        for name, value in (("mean_y", y.sum(axis=0)), ("second_y", y.T @ y),
+                            ("mean_e", e.sum(axis=0)), ("second_e", e.T @ e),
+                            ("cross_xe", x.T @ e), ("cross_xe_sq", (x * x).T @ (e * e))):
+            sums[name].append(value / count)
+
+    def energy_rate(x, c):
+        return (((x @ (pi_root @ c).T)) ** 2).sum(axis=1)
+
+    if nodes[0] == 0:
+        record(e, x)
+    energy = np.zeros(count)
+    for j in range(total):
+        node, frac = divmod(j, sub)
+        w = frac / sub
+        k_j = (1 - w) * gains.K[node] + w * gains.K[node + 1]
+        c_j = (1 - w) * gains.c[node] + w * gains.c[node + 1]
+        rate = energy_rate(x, c_j)
+        energy += (0.5 * h) * (rate if j == 0 else 2.0 * rate)
+        dw = np.sqrt(h) * noise[:, j]
+        e, x = (e + h * e @ (sys_m.sA - k_j @ sys_m.sC).T + dw @ (sys_m.sB - k_j @ sys_m.D).T,
+                x + h * x @ (sys_m.sA + sys_m.sE @ c_j).T + h * e @ (k_j @ sys_m.sC).T
+                + dw @ (k_j @ sys_m.D).T)
+        if (j + 1) % sub == 0 and (j + 1) // sub in nodes:
+            record(e, x)
+    energy += (0.5 * h) * energy_rate(x, gains.c[-1])
+
+    s_final = plant(e, x)
+    deviation = np.einsum("bi,ij,bj->b", s_final, sys_m.Lambda, s_final)
+    scalars = {}
+    for name, values in (("deviation", deviation),
+                         ("smoothing_sqerr", (e[:, :n] ** 2).sum(axis=1)),
+                         ("control_energy", energy), ("cost", deviation + energy)):
+        scalars[name + "_mean"] = values.mean()
+        scalars[name + "_se"] = values.std(ddof=1) / np.sqrt(count)
+    return montecarlo.SampleMoments(
+        paths=count, nodes=nodes, times=gains.times[nodes],
+        **{name: np.array(values) for name, values in sums.items()}, **scalars)
+
+
+class TestNodeOperators:
+    # (scenario, substeps, noise budget in node intervals, nodes).  The
+    # random draws cover d = 0, 1, 2 at each n; a budget of 0.5 is smaller
+    # than one node interval, so each window still holds one; 3 intervals
+    # over 100 steps leave a last window of one node.
+    CASES = [
+        (("random", 2, 2, 11), 1, None, None),      # d = 0
+        (("random", 2, 2, 1), 8, 1, None),          # d = 1
+        (("random", 2, 4, 4), 4, 3, "checkpoints"),  # d = 2
+        (("random", 4, 2, 0), 1, 0.5, None),        # d = 2
+        (("random", 4, 2, 1), 8, 1, "checkpoints"),  # d = 1
+        (("random", 4, 4, 2), 4, 0.5, [0, 37, 100]),  # d = 0
+        (("random", 8, 2, 1), 4, 3, None),          # d = 1
+        (("random", 8, 4, 2), 8, 1, "checkpoints"),  # d = 0
+        (("random", 8, 4, 4), 1, 3, [50]),          # d = 2
+        (("n8", 7, 100), 4, None, "checkpoints"),   # d = 2
+    ]
+
+    @pytest.mark.parametrize("scenario, sub, budget, nodes", CASES)
+    def test_matches_substep_loop(self, monkeypatch, scenario, sub, budget, nodes):
+        spec = (random_valid_scenario(np.random.default_rng(scenario[3]), *scenario[1:3])
+                if scenario[0] == "random" else n8_spec(*scenario[1:]))
+        sys_m, filt, ctrl, _ = _pipeline(spec)
+        gains = gain_schedule(filt, ctrl)
+        paths = 12
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * paths * sub * spec.m))
+        if nodes == "checkpoints":
+            nodes = checkpoint_nodes(spec.steps, 10)
+        seeds = [derive_path_seed(31, i) for i in range(paths)]
+        folded = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
+                                   base_seed=31, substeps_per_node=sub, nodes=nodes)
+        reference = _substep_reference(sys_m, gains, spec.mean0, spec.cov0, seeds, sub, nodes)
+        for field in dataclasses.fields(reference):
+            ref = np.asarray(getattr(reference, field.name), dtype=float)
+            got = np.asarray(getattr(folded, field.name), dtype=float)
+            assert got.shape == ref.shape, field.name
+            if ref.size:
+                scale = 1.0 + np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 1e-12 * scale, field.name
+
+    def test_peak_memory_below_two_noise_windows(self, mc_setup, monkeypatch):
+        spec, sys_m, _, _, _, gains = mc_setup
+        budget = 1 << 21  # doubles: a 16 MB window
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2000,
+                              base_seed=5, nodes=checkpoint_nodes(spec.steps, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * budget
 
 
 class TestThreadedNoise:
