@@ -15,14 +15,22 @@ mean-square deviation is Delta(t) = <Lambda, S(t)>, and the running cost is
 All quadratures are composite trapezoid on the shared grid, which keeps the
 minimum-cost identity discretization-consistent.
 
-RK4 evaluates the right-hand sides of T and of the mean controller state
-only at the nodes and midpoints of the shared grid, so solve_closed_loop
-tabulates K and c once on that half-step lattice (ode.rk4_stage_times,
-entries from ode.sample_grid_at, bitwise equal to interpolating at each
-stage) and the right-hand sides index into the tables; sample_grid is not
-called.  Only the gains are tabulated: (sA + sE c) and K G K' are formed
-per stage by moment_rhs, the one written form of the Lyapunov right-hand
-side.
+T and the mean controller state x are stepped together, in one RK4 pass,
+as the bordered state Z = [[T, x], [x', 1]] of size (2n+1)^2 from
+Z(0) = z0 z0' with z0 = (EX0, EX0, 1).  With a = blockdiag(sA + sE c, 0)
+and f = blockdiag(K G K', 0), the one Lyapunov form Z' = a Z + Z a' + f
+gives T' = (sA + sE c) T + T (.)' + K G K' in the T block, x' = (sA + sE c) x
+on the border, and keeps the corner exactly 1.
+
+RK4 evaluates that right-hand side only at the nodes and midpoints of the
+shared grid (the half-step lattice of ode.rk4_stage_times), so a and f are
+tabulated there: K and c from ode.sample_grid_at (bitwise equal to
+interpolating at each stage), then sA + sE c and K G K' by stacked matmuls.
+The tables cover one block of _BLOCK_STEPS steps at a time, refilled in one
+preallocated pair of buffers when the stage index leaves the block; RK4 visits
+the lattice in increasing order, so every entry is computed exactly once and
+the tables hold 2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step
+count.  sample_grid is not called.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ from .control import control_rhs_full
 from .errors import GridMismatchError
 from .ode import TimeGrid, congruence, integrate_matrix_ode, rk4_stage_times, sample_grid_at
 from .ode import sample_grid  # noqa: F401  (perfbench traces closedloop.sample_grid)
+
+# Steps per block of the coefficient tables: their nodes and midpoints,
+# 2 _BLOCK_STEPS + 1 lattice points, are tabulated at once.
+_BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -64,10 +76,20 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """a X + X a' + f (works on stacked inputs)."""
+    return a @ x + x @ a.swapaxes(-2, -1) + f
+
+
+def _closed_loop_coefficients(c_t: np.ndarray, K_t: np.ndarray, sys):
+    """(sA + sE c, K G K') for the gains c and K (works on stacked inputs)."""
+    return sys.sA + sys.sE @ c_t, congruence(K_t, sys.G)
+
+
 def moment_rhs(T: np.ndarray, c_t: np.ndarray, K_t: np.ndarray, sys) -> np.ndarray:
     """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K' (works on stacked inputs)."""
-    a_cl = sys.sA + sys.sE @ c_t
-    return a_cl @ T + T @ a_cl.swapaxes(-2, -1) + congruence(K_t, sys.G)
+    a_cl, kgk = _closed_loop_coefficients(c_t, K_t, sys)
+    return _lyapunov_rhs(a_cl, T, kgk)
 
 
 def solve_closed_loop(
@@ -84,11 +106,15 @@ def solve_closed_loop(
     node (same shape); used for perturbation studies around the optimum.
     Both input solutions must share their time grid.
 
-    T and the mean controller state are integrated by RK4 over [0, tau] in
-    the grid's step count.  K(t) and c(t) are linearly interpolated from the
-    grid once, at every stage time of that integration (node k at lattice
-    index 2k, the midpoint of step k at 2k + 1), and each right-hand side
-    looks its gains up by lattice index; no sample_grid call is made.
+    T and the mean controller state are integrated together by one RK4 pass
+    over [0, tau] in the grid's step count, as the bordered state
+    [[T, x], [x', 1]].  Its coefficients a = blockdiag(sA + sE c, 0) and
+    f = blockdiag(K G K', 0) are tabulated at the stage times (node k at
+    lattice index 2k, the midpoint of step k at 2k + 1), one block of
+    _BLOCK_STEPS steps at a time, with K(t) and c(t) linearly interpolated
+    from the grid; the right-hand side looks them up by lattice index, and
+    no sample_grid call is made.  T and x_mean are returned as owned,
+    C-contiguous copies of the bordered grid's blocks.
     """
     if not np.array_equal(filter_sol.times, control_sol.times):
         raise GridMismatchError("filter and control solutions use different grids")
@@ -103,28 +129,44 @@ def solve_closed_loop(
         raise GridMismatchError(
             f"gain override shape {c_values.shape} != {control_sol.c.shape}"
         )
+    dim = 2 * mean0.size
     lattice = rk4_stage_times(0.0, tau, steps)
-    c_table = sample_grid_at(TimeGrid(times, c_values), lattice)
-    k_table = sample_grid_at(TimeGrid(times, filter_sol.K), lattice)
+    c_grid = TimeGrid(times, c_values)
+    k_grid = TimeGrid(times, filter_sol.K)
+    block_size = min(2 * _BLOCK_STEPS + 1, lattice.size)
+    # The border rows and columns of a and f stay zero; each refill writes
+    # only the top-left blocks.
+    a_table = np.zeros((block_size, dim + 1, dim + 1))
+    f_table = np.zeros_like(a_table)
+    block_start = -block_size  # no block loaded yet
     # The stage times are nonnegative multiples of h/2 = tau / (2 steps) up
     # to round-off far below half a lattice spacing, so rounding (int(x + 0.5))
     # recovers the index.
     per_half_step = 2.0 * steps / tau
 
-    def t_rhs(t, state):
-        i = int(t * per_half_step + 0.5)
-        return moment_rhs(state, c_table[i], k_table[i], sys)
+    def rhs(t, state):
+        nonlocal block_start
+        j = int(t * per_half_step + 0.5) - block_start
+        if not 0 <= j < block_size:
+            block_start += j
+            stage_times = lattice[block_start:block_start + block_size]
+            a_cl, kgk = _closed_loop_coefficients(
+                sample_grid_at(c_grid, stage_times), sample_grid_at(k_grid, stage_times), sys
+            )
+            a_table[:stage_times.size, :dim, :dim] = a_cl
+            f_table[:stage_times.size, :dim, :dim] = kgk
+            j = 0
+        return _lyapunov_rhs(a_table[j], state, f_table[j])
 
-    t0_matrix = np.kron(np.ones((2, 2)), np.outer(mean0, mean0))
-    t_solution = integrate_matrix_ode(t_rhs, t0_matrix, 0.0, tau, steps, symmetrize=True)
-    moments = t_solution.values
-
-    def mean_rhs(t, state):
-        return (sys.sA + sys.sE @ c_table[int(t * per_half_step + 0.5)]) @ state
-
-    x_mean = integrate_matrix_ode(
-        mean_rhs, np.concatenate([mean0, mean0]), 0.0, tau, steps
+    z0 = np.concatenate([mean0, mean0, [1.0]])
+    bordered = integrate_matrix_ode(
+        rhs, np.outer(z0, z0), 0.0, tau, steps, symmetrize=True
     ).values
+    # Owned, C-contiguous copies: a strided view of T would send the einsums
+    # below down other summation paths, changing their last bits.
+    moments = bordered[:, :dim, :dim].copy()
+    x_mean = bordered[:, :dim, dim].copy()
+    del bordered
 
     s_values = moments + filter_sol.P_full
     delta = np.einsum("ij,tij->t", sys.Lambda, s_values)

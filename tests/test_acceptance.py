@@ -17,6 +17,7 @@ import numpy as np
 
 from conftest import random_valid_scenario, reference_spec
 from qmemctl import (
+    checkpoint_nodes,
     checks,
     cross_moment_check,
     derive_system_matrices,
@@ -215,7 +216,8 @@ def test_c09_monte_carlo_agreement(acc_spec, acc_sys, acc_filter, acc_control,
     start = time.perf_counter()
     moments = simulate_ensemble(acc_sys, gains, acc_spec.mean0, acc_spec.cov0,
                                 paths=10_000, base_seed=1_234_567,
-                                substeps_per_node=4)
+                                substeps_per_node=4,
+                                nodes=checkpoint_nodes(acc_spec.steps, checks.CHECKPOINTS))
     report = cross_moment_check(moments, acc_closed, acc_filter)
     elapsed = time.perf_counter() - start
 

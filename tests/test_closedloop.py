@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,26 +49,31 @@ def _t0(spec):
 def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None):
     """T, x_mean, Phi, Delta and H_pont with K and c interpolated at every RK4 stage.
 
-    The reference the tabulated gains must reproduce bitwise: each stage
-    calls sample_grid on the gain grids, as solve_closed_loop once did.
+    The reference the tabulated coefficients must reproduce bitwise: each
+    stage calls sample_grid on the gain grids and builds the bordered
+    coefficients a = blockdiag(sA + sE c, 0) and f = blockdiag(K G K', 0)
+    for the state [[T, x], [x', 1]].
     """
     times = filt.times
     steps = len(times) - 1
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
+    dim = 2 * mean0.size
     c_values = ctrl.c if gain_override is None else np.asarray(gain_override, dtype=float)
     c_grid = TimeGrid(times, c_values)
     k_grid = TimeGrid(times, filt.K)
 
-    def t_rhs(t, state):
-        return moment_rhs(state, sample_grid(c_grid, t), sample_grid(k_grid, t), sys_m)
+    def rhs(t, state):
+        a = np.zeros((dim + 1, dim + 1))
+        f = np.zeros((dim + 1, dim + 1))
+        a[:dim, :dim] = sys_m.sA + sys_m.sE @ sample_grid(c_grid, t)
+        f[:dim, :dim] = congruence(sample_grid(k_grid, t), sys_m.G)
+        return a @ state + state @ a.T + f
 
-    def mean_rhs(t, state):
-        return (sys_m.sA + sys_m.sE @ sample_grid(c_grid, t)) @ state
-
-    t0_matrix = np.kron(np.ones((2, 2)), np.outer(mean0, mean0))
-    moments = integrate_matrix_ode(t_rhs, t0_matrix, 0.0, tau, steps, symmetrize=True).values
-    x_mean = integrate_matrix_ode(mean_rhs, np.concatenate([mean0, mean0]), 0.0, tau,
-                                  steps).values
+    z0 = np.concatenate([mean0, mean0, [1.0]])
+    bordered = integrate_matrix_ode(rhs, np.outer(z0, z0), 0.0, tau, steps,
+                                    symmetrize=True).values
+    moments = bordered[:, :dim, :dim].copy()
+    x_mean = bordered[:, :dim, dim].copy()
     delta = np.einsum("ij,tij->t", sys_m.Lambda, moments + filt.P_full)
     energy = np.einsum("tai,ab,tbj,tij->t", c_values, ctrl.Pi, c_values, moments)
     phi = delta + _cumtrapz(energy, (times[-1] - times[0]) / steps)
@@ -74,6 +81,20 @@ def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None
     h_pont = (np.einsum("tij,tij->t", ctrl.Q_full, congruence(filt.K, sys_m.G))
               - np.einsum("tij,tij->t", q_dot, moments))
     return dict(T=moments, x_mean=x_mean, Phi=phi, Delta=delta, H_pont=h_pont)
+
+
+def _separate_mean_pass(sys_m, ctrl, mean0, tau, gain_override=None):
+    """x_mean from its own RK4 pass of x' = (sA + sE c(t)) x, c interpolated per stage."""
+    times = ctrl.times
+    c_values = ctrl.c if gain_override is None else gain_override
+    c_grid = TimeGrid(times, c_values)
+
+    def rhs(t, state):
+        return (sys_m.sA + sys_m.sE @ sample_grid(c_grid, t)) @ state
+
+    mean0 = np.asarray(mean0, dtype=float)
+    return integrate_matrix_ode(rhs, np.concatenate([mean0, mean0]), 0.0, tau,
+                                len(times) - 1).values
 
 
 def _assert_matches_interpolation(spec, gain_override=None):
@@ -151,6 +172,50 @@ class TestGainTables:
                                    ref_spec.tau)
         assert np.array_equal(closed.T, ref_closed.T)
         assert np.array_equal(closed.x_mean, ref_closed.x_mean)
+
+
+class TestBorderedMean:
+    """x_mean rides on the border of the Lyapunov state; a separate pass agrees to round-off."""
+
+    @pytest.mark.parametrize("spec, perturb", [
+        (_spec(steps=2000), False),
+        (n8_spec(1, steps=500), False),
+        (_spec(d=0, N=np.zeros((0, 2)), Pi=np.zeros((0, 0)), steps=2000), False),
+        (_spec(steps=2000), True),
+    ], ids=["reference", "n8", "uncontrolled", "gain_override"])
+    def test_matches_separate_pass(self, spec, perturb):
+        sys_m, filt, ctrl, _ = _pipeline(spec)
+        override = None
+        if perturb:
+            rng = np.random.default_rng(21)
+            override = ctrl.c + 0.05 * rng.standard_normal(ctrl.c.shape)
+        closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                   gain_override=override)
+        expected = _separate_mean_pass(sys_m, ctrl, spec.mean0, spec.tau, override)
+        scale = 1.0 + np.max(np.abs(expected))
+        assert np.max(np.abs(closed.x_mean - expected)) <= 1e-15 * scale
+
+
+class TestMemory:
+    def test_outputs_own_contiguous_data(self, ref_closed):
+        for values in (ref_closed.T, ref_closed.x_mean):
+            assert values.flags.owndata
+            assert values.flags.c_contiguous
+
+    def test_traced_peak_below_bound(self):
+        # The coefficient tables span one block of steps, not the whole
+        # lattice: full-lattice tables would take this case to about 44 MB.
+        spec = n8_spec(1, steps=2000)
+        sys_m = derive_system_matrices(spec)
+        filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
+        ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
+        tracemalloc.start()
+        try:
+            solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestSolveClosedLoop:
