@@ -29,8 +29,8 @@ interpolating at each stage), then sA + sE c and K G K' by stacked matmuls.
 The tables cover one block of _BLOCK_STEPS steps at a time, refilled in one
 preallocated pair of buffers when the stage index leaves the block; RK4 visits
 the lattice in increasing order, so every entry is computed exactly once and
-the tables hold 2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step
-count.  sample_grid is not called.
+the tables hold at most 2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever
+the step count.  sample_grid is not called.
 """
 
 from __future__ import annotations

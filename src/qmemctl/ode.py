@@ -27,7 +27,7 @@ The RK4 loop evaluates the right-hand side on the half-step lattice of
 2k + 1.  A right-hand side driven by gains tabulated on that lattice (the
 closed-loop moments are) indexes into its tables instead of interpolating,
 so no solver calls `sample_grid`; `sample_grid_at` builds such a table, with
-`sample_grid`'s own weight formula, once per solve.
+`sample_grid`'s own weight formula, for a block of stage times at once.
 
 The module also owns the stacked block-state layout the reference block
 cascades integrate, a (3, n, n) array (B1, B2, B3) standing for the
@@ -360,8 +360,8 @@ def sample_grid(grid: TimeGrid, t: float) -> np.ndarray:
     """Linearly interpolate the grid at time t; exact at the nodes.
 
     For one-off queries such as the off-node gains of tests and perturbation
-    studies.  No solver calls it: the closed loop tabulates its gains once
-    per solve with `sample_grid_at`, the elementwise form of this function.
+    studies.  No solver calls it: the closed loop tabulates its gains block
+    by block with `sample_grid_at`, the elementwise form of this function.
     """
     times = grid.times
     fuzz = 64.0 * np.finfo(float).eps * max(1.0, abs(times[0]), abs(times[-1]))
