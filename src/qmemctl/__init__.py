@@ -7,6 +7,8 @@ schedule (filtering), solve the backward control Riccati equation for the
 feedback gain schedule (control), propagate closed-loop moments and cost
 functionals (closedloop), and verify everything against a classical
 Gaussian surrogate simulation (montecarlo), with pass/fail limits (checks).
+Each Riccati formula is reached through one class, FilterRiccati or
+ControlRiccati, which holds the equation's constant coefficients.
 """
 
 from .closedloop import (
@@ -17,13 +19,7 @@ from .closedloop import (
     moment_rhs,
     solve_closed_loop,
 )
-from .control import (
-    ControlSolution,
-    control_rhs_blocks,
-    control_rhs_full,
-    feedback_gain,
-    solve_control,
-)
+from .control import ControlRiccati, ControlSolution, solve_control
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -33,14 +29,7 @@ from .errors import (
     QmemctlError,
     ScenarioFormatError,
 )
-from .filtering import (
-    FilterSolution,
-    filter_rhs_blocks,
-    filter_rhs_full,
-    hamiltonian_matrix,
-    kalman_gain,
-    solve_filter,
-)
+from .filtering import FilterRiccati, FilterSolution, hamiltonian_matrix, solve_filter
 from .model import (
     ScenarioSpec,
     SystemMatrices,

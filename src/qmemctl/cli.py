@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +46,15 @@ COMMANDS = ("validate", "filter", "control", "simulate", "montecarlo", "decohere
 # scenario loading
 
 
-def _field_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:
+def _field_array(name: str, raw) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=float)
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"field '{name}': not a numeric array ({exc})") from None
+
+
+def _field_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:
+    arr = _field_array(name, raw)
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise ScenarioFormatError(
@@ -69,19 +73,28 @@ def _field_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:
 
 
 def _field_vector(name: str, raw, size: int) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"field '{name}': not a numeric array ({exc})") from None
+    arr = _field_array(name, raw).reshape(-1)
     if arr.size != size:
         raise ScenarioFormatError(f"field '{name}': expected {size} numbers, got {arr.size}")
     return arr
 
 
 def _field_int(name: str, raw) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or int(raw) != raw:
+    # float.is_integer is False for nan and inf
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral:
         raise ScenarioFormatError(f"field '{name}': expected an integer, got {raw!r}")
     return int(raw)
+
+
+def _field_float(name: str, raw) -> float:
+    try:
+        finite = not isinstance(raw, bool) and math.isfinite(raw)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise ScenarioFormatError(f"field '{name}': expected a finite number, got {raw!r}")
+    return float(raw)
 
 
 _KNOWN_KEYS = {
@@ -129,12 +142,12 @@ def load_scenario(path) -> model.ScenarioSpec:
     if n <= 0 or m <= 0:
         raise ScenarioFormatError(f"fields 'n'/'m' must be positive, got n={n}, m={m}")
 
-    tau = float(data["tau"])
+    tau = _field_float("tau", data["tau"])
     if not tau > 0:
         raise ScenarioFormatError(f"field 'tau': must be positive, got {tau}")
 
     if "N" in data:
-        n_raw = np.asarray(data["N"], dtype=float)
+        n_raw = _field_array("N", data["N"])
         d = n_raw.shape[0] if n_raw.ndim == 2 else (0 if n_raw.size == 0 else 1)
     else:
         d = 0
@@ -148,12 +161,12 @@ def load_scenario(path) -> model.ScenarioSpec:
             )
         d = d_declared
 
-    d_raw = np.asarray(data["D"], dtype=float)
+    d_raw = _field_array("D", data["D"])
     r = d_raw.shape[0] if d_raw.ndim == 2 else (1 if d_raw.size else 0)
     if "r" in data and _field_int("r", data["r"]) != r:
         raise ScenarioFormatError(f"field 'D': has {r} rows but field 'r' declares {data['r']}")
 
-    f_raw = np.asarray(data["F"], dtype=float)
+    f_raw = _field_array("F", data["F"])
     s = f_raw.shape[0] if f_raw.ndim == 2 else (1 if f_raw.size else 0)
     if "s" in data and _field_int("s", data["s"]) != s:
         raise ScenarioFormatError(f"field 'F': has {s} rows but field 's' declares {data['s']}")
@@ -186,96 +199,42 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns) -> None:
+    """Write (label, array) pairs, each array with one entry per row, as CSV.
+
+    An (N,) array is the column `label`; an (N, a, b) array gives the
+    columns label_i_j, row-major (none when a or b is 0).
+    """
+    header, blocks = [], []
+    for label, values in columns:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            names = [label]
+        else:
+            _, rows, cols = values.shape
+            names = [f"{label}_{i}_{j}" for i in range(rows) for j in range(cols)]
+        header += names
+        blocks.append(values.reshape(len(values), len(names)))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(_fmt(v) for v in row) for row in np.concatenate(blocks, axis=1))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _matrix_columns(label: str, rows: int, cols: int) -> list[str]:
-    return [f"{label}_{i}_{j}" for i in range(rows) for j in range(cols)]
-
-
-def _write_filter_csv(path: Path, filt: filtering.FilterSolution) -> None:
-    n = filt.P1.shape[1]
-    r = filt.K.shape[2]
-    header = (
-        ["t"]
-        + _matrix_columns("P1", n, n)
-        + _matrix_columns("P2", n, n)
-        + _matrix_columns("P3", n, n)
-        + _matrix_columns("K", 2 * n, r)
-    )
-    rows = (
-        np.concatenate(
-            [
-                filt.times[:, None],
-                filt.P1.reshape(len(filt.times), -1),
-                filt.P2.reshape(len(filt.times), -1),
-                filt.P3.reshape(len(filt.times), -1),
-                filt.K.reshape(len(filt.times), -1),
-            ],
-            axis=1,
-        )
-    )
-    _write_csv(path, header, rows)
-
-
-def _write_control_csv(path: Path, ctrl: control.ControlSolution) -> None:
-    n = ctrl.Q1.shape[1]
-    d = ctrl.c.shape[1]
-    header = (
-        ["t"]
-        + _matrix_columns("Q1", n, n)
-        + _matrix_columns("Q2", n, n)
-        + _matrix_columns("Q3", n, n)
-        + _matrix_columns("c", d, 2 * n)
-    )
-    rows = np.concatenate(
-        [
-            ctrl.times[:, None],
-            ctrl.Q1.reshape(len(ctrl.times), -1),
-            ctrl.Q2.reshape(len(ctrl.times), -1),
-            ctrl.Q3.reshape(len(ctrl.times), -1),
-            ctrl.c.reshape(len(ctrl.times), -1),
-        ],
-        axis=1,
-    )
-    _write_csv(path, header, rows)
-
-
-def _write_closedloop_csv(path: Path, closed: closedloop.ClosedLoopSolution,
-                          write_moments: bool) -> None:
-    header = ["t", "Delta", "Phi", "H_pont"]
-    columns = [closed.times[:, None], closed.Delta[:, None], closed.Phi[:, None],
-               closed.H_pont[:, None]]
-    if write_moments:
-        twon = closed.T.shape[1]
-        header += _matrix_columns("T", twon, twon)
-        columns.append(closed.T.reshape(len(closed.times), -1))
-    _write_csv(path, header, np.concatenate(columns, axis=1))
-
-
-def _write_montecarlo_csv(path: Path, report: montecarlo.CrossMomentReport) -> None:
-    header = ["t", "mho_max_abs", "mho_max_z", "e_mean_norm", "e_mean_max_z",
-              "P_rel_err", "T_rel_err"]
-    rows = [
-        [row.t, row.mho_max_abs, row.mho_max_z, row.e_mean_norm, row.e_mean_max_z,
-         row.P_rel_err, row.T_rel_err]
-        for row in report.rows
-    ]
-    _write_csv(path, header, rows)
+def _write_stage_csv(out: Path, name: str, csvs: dict) -> int:
+    """End a stage command: write its one CSV, report it, return exit status 0."""
+    _write_csv(out / name, csvs[name])
+    print(f"wrote {out / name}")
+    return 0
 
 
 def _jsonable(value):
+    """Plain JSON data, with every non-finite float (numpy ones too) as None."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -289,11 +248,9 @@ def _write_summary(path: Path, summary: dict) -> None:
 # pipeline
 
 
-def default_phi_star(sys: model.SystemMatrices, spec: model.ScenarioSpec) -> float:
-    """Reference cost scale <Lambda, P(0) + T(0)> + 1."""
-    p0 = np.tile(spec.cov0, (2, 2))
-    t0 = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
-    return float(np.sum(sys.Lambda * (p0 + t0))) + 1.0
+def default_phi_star(Lambda: np.ndarray, cov0: np.ndarray, t0: np.ndarray) -> float:
+    """Reference cost scale <Lambda, P(0) + T(0)> + 1, with P(0) = [[1,1],[1,1]] kron cov0."""
+    return float(np.sum(Lambda * (np.tile(cov0, (2, 2)) + t0))) + 1.0
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -332,23 +289,26 @@ def run(args: argparse.Namespace) -> int:
 
     sys_m = _stage("model", model.derive_system_matrices, spec)
     filt = _stage("filter", filtering.solve_filter, sys_m, spec.cov0, spec.tau, spec.steps)
+    # Each stage's CSV columns, written by its own command and by `full`.
+    csvs = {"filter.csv": [("t", filt.times), ("P1", filt.P1), ("P2", filt.P2),
+                           ("P3", filt.P3), ("K", filt.K)]}
     if args.command == "filter":
-        _write_filter_csv(out / "filter.csv", filt)
-        print(f"wrote {out / 'filter.csv'}")
-        return 0
+        return _write_stage_csv(out, "filter.csv", csvs)
 
     ctrl = _stage("control", control.solve_control, sys_m, spec.Pi, spec.tau, spec.steps)
+    csvs["control.csv"] = [("t", ctrl.times), ("Q1", ctrl.Q1), ("Q2", ctrl.Q2),
+                           ("Q3", ctrl.Q3), ("c", ctrl.c)]
     if args.command == "control":
-        _write_control_csv(out / "control.csv", ctrl)
-        print(f"wrote {out / 'control.csv'}")
-        return 0
+        return _write_stage_csv(out, "control.csv", csvs)
 
     closed = _stage("closedloop", closedloop.solve_closed_loop,
                     sys_m, filt, ctrl, spec.mean0, spec.tau)
+    csvs["closedloop.csv"] = [
+        ("t", closed.times), ("Delta", closed.Delta), ("Phi", closed.Phi),
+        ("H_pont", closed.H_pont),
+    ] + ([("T", closed.T)] if args.moments else [])
     if args.command == "simulate":
-        _write_closedloop_csv(out / "closedloop.csv", closed, args.moments)
-        print(f"wrote {out / 'closedloop.csv'}")
-        return 0
+        return _write_stage_csv(out, "closedloop.csv", csvs)
 
     phi_tau = float(closed.Phi[-1])
     t0_matrix = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
@@ -363,7 +323,8 @@ def run(args: argparse.Namespace) -> int:
     h_variation = float(np.max(np.abs(closed.H_pont - h_mean)) / (1.0 + abs(h_mean)))
 
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
-    phi_star = default_phi_star(sys_m, spec) if args.phi_star is None else args.phi_star
+    phi_star = (default_phi_star(sys_m.Lambda, spec.cov0, t0_matrix)
+                if args.phi_star is None else args.phi_star)
     tau_dec = _stage("decoherence", closedloop.decoherence_time,
                      closed.times, closed.Phi, epsilon, phi_star)
 
@@ -420,14 +381,16 @@ def run(args: argparse.Namespace) -> int:
             "checkpoints": len(report.rows),
             "e_mean_within_3se": report.e_mean_within_3se,
         }
-        _write_montecarlo_csv(out / "montecarlo.csv", report)
+        _write_csv(out / "montecarlo.csv", [
+            (f.name, [getattr(row, f.name) for row in report.rows])
+            for f in fields(montecarlo.CheckpointResidual)
+        ])
 
     summary["checks"] = gates
 
     if args.command == "full":
-        _write_filter_csv(out / "filter.csv", filt)
-        _write_control_csv(out / "control.csv", ctrl)
-        _write_closedloop_csv(out / "closedloop.csv", closed, args.moments)
+        for name, columns in csvs.items():
+            _write_csv(out / name, columns)
 
     _write_summary(out / "summary.json", summary)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import control_rhs_full
+from .control import ControlRiccati
 from .errors import GridMismatchError
 from .ode import TimeGrid, congruence, integrate_matrix_ode, rk4_stage_times, sample_grid_at
 from .ode import sample_grid  # noqa: F401  (perfbench traces closedloop.sample_grid)
@@ -79,6 +79,11 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
 def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """a X + X a' + f (works on stacked inputs)."""
     return a @ x + x @ a.swapaxes(-2, -1) + f
+
+
+def _forcing_pairing(q: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<Q, K G K'> at every node of the stacked grids Q and K."""
+    return np.einsum("tij,tij->t", q, congruence(k, g))
 
 
 def _closed_loop_coefficients(c_t: np.ndarray, K_t: np.ndarray, sys):
@@ -178,9 +183,8 @@ def solve_closed_loop(
 
     # Pontryagin Hamiltonian at the nodes, using the optimal Riccati solution.
     q = control_sol.Q_full
-    q_dot = control_rhs_full(q, sys, pi)
-    kgk = congruence(filter_sol.K, sys.G)
-    h_pont = np.einsum("tij,tij->t", q, kgk) - np.einsum("tij,tij->t", q_dot, moments)
+    q_dot = ControlRiccati(sys, pi).rhs_full(q)
+    h_pont = _forcing_pairing(q, filter_sol.K, sys.G) - np.einsum("tij,tij->t", q_dot, moments)
 
     u_mean = np.einsum("tij,tj->ti", c_values, x_mean)
 
@@ -195,7 +199,7 @@ def min_cost_identity(filter_sol, control_sol, T0: np.ndarray, Lambda: np.ndarra
     """Closed-form minimum cost <Lambda, P(tau)> + <Q(0), T(0)> + int <Q, K G K'> dt."""
     times = filter_sol.times
     h = (times[-1] - times[0]) / (len(times) - 1)
-    integrand = np.einsum("tij,tij->t", control_sol.Q_full, congruence(filter_sol.K, G))
+    integrand = _forcing_pairing(control_sol.Q_full, filter_sol.K, G)
     return (
         float(np.sum(Lambda * filter_sol.P_full[-1]))
         + float(np.sum(control_sol.Q_full[0] * T0))
@@ -213,7 +217,7 @@ def bellman_value(t: float, Gamma: np.ndarray, control_sol, filter_sol,
         raise ValueError(f"t = {t} is not a grid node")
     idx = int(matches[0])
     h = (times[-1] - times[0]) / (len(times) - 1)
-    tail = np.einsum("tij,tij->t", control_sol.Q_full[idx:], congruence(filter_sol.K[idx:], G))
+    tail = _forcing_pairing(control_sol.Q_full[idx:], filter_sol.K[idx:], G)
     return float(np.sum(control_sol.Q_full[idx] * Gamma)) + _trapz(tail, h)
 
 

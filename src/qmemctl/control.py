@@ -17,7 +17,8 @@ backward from Q1(tau) = Q3(tau) = Sigma, Q2(tau) = -Sigma (the blocks of the
 terminal weight Lambda) with fixed-step RK4, as the independent reference
 the tests compare against.  The feedback gain is
 c(t) = -Pi^-1 E' [Q2(t), Q3(t)] at every node, on the same grid the filter
-uses.  Each formula is written once, in ControlRiccati.  With no actuator
+uses.  Each formula is written once, in ControlRiccati; the solvers and
+every other caller evaluate them through an instance of it.  With no actuator
 channels (d = 0) everything degenerates to backward Lyapunov equations and
 a zero-width gain, which is kept as the uncontrolled baseline mode.
 """
@@ -82,21 +83,6 @@ class ControlRiccati:
     def gain(self, q2, q3):
         """c = -Pi^-1 E' [Q2, Q3], of shape (..., d, 2n)."""
         return self.gain_head @ np.concatenate([q2, q3], axis=-1)
-
-
-def control_rhs_full(Q: np.ndarray, sys, Pi: np.ndarray) -> np.ndarray:
-    """Right-hand side of the full control Riccati ODE."""
-    return ControlRiccati(sys, Pi).rhs_full(Q)
-
-
-def control_rhs_blocks(Q1: np.ndarray, Q2: np.ndarray, Q3: np.ndarray, sys, Pi: np.ndarray):
-    """Right-hand sides of the block cascade (dQ1, dQ2, dQ3)."""
-    return ControlRiccati(sys, Pi).rhs_blocks(Q1, Q2, Q3)
-
-
-def feedback_gain(Q2: np.ndarray, Q3: np.ndarray, sys, Pi: np.ndarray) -> np.ndarray:
-    """Optimal feedback gain c = -Pi^-1 E' [Q2, Q3], of shape (d, 2n)."""
-    return ControlRiccati(sys, Pi).gain(Q2, Q3)
 
 
 def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolution:

@@ -22,9 +22,9 @@ only on grids fine enough for RK4.
 Both start from every block equal to Re cov(X0), which makes P(0) a
 positive-semidefinite singular matrix; nothing in this module factorizes P,
 so rank-deficient covariances are handled as-is.  Each formula, and the
-Kalman gain in its full and block forms, is written once in FilterRiccati,
-which the solvers and the public right-hand-side functions share; G is
-inverted once per solve through its Cholesky factor.
+Kalman gain in its full and block forms, is written once in FilterRiccati;
+the solvers and every other caller evaluate them through an instance of it,
+so G is inverted once per instance through its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -115,21 +115,6 @@ class FilterRiccati:
         k_top = p2 @ self.ct_gi
         k_bottom = p3 @ self.ct_gi + self.b_dt @ self.ginv
         return np.concatenate([k_top, k_bottom], axis=-2)
-
-
-def filter_rhs_full(P: np.ndarray, sys) -> np.ndarray:
-    """Right-hand side of the full 2n x 2n filtering Riccati ODE."""
-    return FilterRiccati(sys).rhs_full(P)
-
-
-def filter_rhs_blocks(P1: np.ndarray, P2: np.ndarray, P3: np.ndarray, sys):
-    """Right-hand sides of the block cascade (dP1, dP2, dP3)."""
-    return FilterRiccati(sys).rhs_blocks(P1, P2, P3)
-
-
-def kalman_gain(P: np.ndarray, sys) -> np.ndarray:
-    """K = (P sC' + sB D') G^-1; rows split into smoother and filter gains."""
-    return FilterRiccati(sys).gain(P)
 
 
 def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolution:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import DivergenceError
 
+# Relative: warn_if_not_psd scales it by 1 + max |values|.
 PSD_WARN_TOL = -1e-8
 
 # A Moebius step solves with X = Phi11 + Phi12 P; beyond this 1-norm condition
@@ -65,10 +66,6 @@ class TimeGrid:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape[0] != self.times.shape[0]:
             raise ValueError("values and times must have one entry per node")
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0]) if self.times.size > 1 else 0.0
 
 
 def node_times(t0: float, t1: float, steps: int) -> np.ndarray:
@@ -396,10 +393,16 @@ def congruence(k: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def warn_if_not_psd(values: np.ndarray, times: np.ndarray, what: str) -> None:
-    """Warn (never raise) if any node's matrix has an eigenvalue below PSD_WARN_TOL."""
+    """Warn (never raise) if any node's matrix has an eigenvalue below
+    PSD_WARN_TOL (1 + max |values|).
+
+    The tolerance scales with the largest entry over all nodes, because the
+    round-off in an eigenvalue of a symmetric matrix grows with its norm.
+    """
     eigs = np.linalg.eigvalsh(values)
     min_eig = float(eigs.min())
-    if min_eig < PSD_WARN_TOL:
+    max_abs = max(float(values.max()), -float(values.min()))  # no |values| temporary
+    if min_eig < PSD_WARN_TOL * (1.0 + max_abs):
         node = int(np.unravel_index(eigs.argmin(), eigs.shape)[0])
         warnings.warn(
             f"{what} lost positive semidefiniteness: min eigenvalue "

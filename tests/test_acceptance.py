@@ -20,8 +20,8 @@ from qmemctl import (
     checkpoint_nodes,
     checks,
     cross_moment_check,
+    FilterRiccati,
     derive_system_matrices,
-    filter_rhs_full,
     gain_schedule,
     hamiltonian_matrix,
     integrate_matrix_ode,
@@ -158,7 +158,7 @@ def pontryagin_variations(sys_m, filter_sol, control_sol, closed_sol):
         return float(np.max(np.abs(values - mean)) / (1.0 + abs(mean)))
 
     times = filter_sol.times
-    p_dot = filter_rhs_full(filter_sol.P_full, sys_m)
+    p_dot = FilterRiccati(sys_m).rhs_full(filter_sol.P_full)
     k_sc_p_dot = filter_sol.K @ sys_m.sC @ p_dot
     kgk_dot = k_sc_p_dot + np.swapaxes(k_sc_p_dot, -2, -1)
     drift = np.einsum("tij,tij->t", control_sol.Q_full, kgk_dot)

@@ -83,6 +83,18 @@ class TestLoadScenario:
         assert spec.d == 0
         assert spec.Pi.shape == (0, 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "abc"), ("tau", None), ("tau", True), ("tau", float("inf")),
+        ("tau", float("nan")), pytest.param("tau", 10**400, id="tau-huge-int"),
+        ("steps", float("nan")), ("steps", float("inf")), ("steps", 2.5),
+        ("N", "abc"), ("D", "abc"), ("F", "abc"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, field, value):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(REFERENCE, **{field: value})))
+        with pytest.raises(ScenarioFormatError, match=f"'{field}'"):
+            load_scenario(path)
+
 
 class TestValidateCommand:
     def test_valid_scenario_exits_zero(self, tmp_path, capsys):
@@ -239,6 +251,51 @@ class TestFullPipeline:
         for name in ("filter.csv", "control.csv", "closedloop.csv",
                      "montecarlo.csv", "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _matrix_columns(label, rows, cols):
+    return [f"{label}_{i}_{j}" for i in range(rows) for j in range(cols)]
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_artifact_headers(tmp_path, d):
+    """The complete, ordered CSV headers, the same from `full` and each stage command.
+
+    With d = 0 the gain c has no columns.
+    """
+    scen = write_scenario(tmp_path / "s.json", steps=200,
+                          **({} if d else {"N": None, "Pi": None}))
+    common = ["--scenario", str(scen), "--paths", "200", "--seed", "8", "--moments"]
+    main(["full", "--out", str(tmp_path / "full")] + common)
+    expected = {
+        "filter.csv": ["t"] + _matrix_columns("P1", 2, 2) + _matrix_columns("P2", 2, 2)
+        + _matrix_columns("P3", 2, 2) + _matrix_columns("K", 4, 1),
+        "control.csv": ["t"] + _matrix_columns("Q1", 2, 2) + _matrix_columns("Q2", 2, 2)
+        + _matrix_columns("Q3", 2, 2) + _matrix_columns("c", d, 4),
+        "closedloop.csv": ["t", "Delta", "Phi", "H_pont"] + _matrix_columns("T", 4, 4),
+        "montecarlo.csv": ["t", "mho_max_abs", "mho_max_z", "e_mean_norm", "e_mean_max_z",
+                           "P_rel_err", "T_rel_err"],
+    }
+    for name, header in expected.items():
+        lines = (tmp_path / "full" / name).read_text().splitlines()
+        assert lines[0].split(",") == header, name
+        assert all(len(line.split(",")) == len(header) for line in lines[1:]), name
+    stages = {"filter": "filter.csv", "control": "control.csv",
+              "simulate": "closedloop.csv", "montecarlo": "montecarlo.csv"}
+    for command, name in stages.items():
+        out = tmp_path / command
+        main([command, "--out", str(out)] + common)
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_summary_json_writes_non_finite_numpy_values_as_null():
+    from qmemctl.cli import _jsonable
+
+    value = {"a": np.float64(np.inf), "b": np.int64(3), "c": np.array([1.0, np.nan]),
+             "d": [np.float32(-np.inf), (np.array([[np.inf, 2.0]]),)], "e": np.bool_(True)}
+    text = json.dumps(_jsonable(value), allow_nan=False)
+    assert json.loads(text) == {"a": None, "b": 3, "c": [1.0, None],
+                                "d": [None, [[[None, 2.0]]]], "e": True}
 
 
 def test_cli_import_loads_no_scipy():

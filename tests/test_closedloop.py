@@ -5,10 +5,10 @@ import pytest
 
 from conftest import n8_spec
 from qmemctl import (
+    ControlRiccati,
     GridMismatchError,
     bellman_value,
     closedloop,
-    control_rhs_full,
     decoherence_time,
     derive_system_matrices,
     min_cost_identity,
@@ -77,7 +77,7 @@ def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None
     delta = np.einsum("ij,tij->t", sys_m.Lambda, moments + filt.P_full)
     energy = np.einsum("tai,ab,tbj,tij->t", c_values, ctrl.Pi, c_values, moments)
     phi = delta + _cumtrapz(energy, (times[-1] - times[0]) / steps)
-    q_dot = control_rhs_full(ctrl.Q_full, sys_m, ctrl.Pi)
+    q_dot = ControlRiccati(sys_m, ctrl.Pi).rhs_full(ctrl.Q_full)
     h_pont = (np.einsum("tij,tij->t", ctrl.Q_full, congruence(filt.K, sys_m.G))
               - np.einsum("tij,tij->t", q_dot, moments))
     return dict(T=moments, x_mean=x_mean, Phi=phi, Delta=delta, H_pont=h_pont)

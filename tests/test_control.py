@@ -3,13 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmemctl import (
-    control_rhs_blocks,
-    control_rhs_full,
-    derive_system_matrices,
-    feedback_gain,
-    solve_control,
-)
+from qmemctl import ControlRiccati, derive_system_matrices, solve_control
 from qmemctl.control import solve_control_cascade
 from qmemctl.model import ScenarioSpec
 from qmemctl.ode import assemble_blocks
@@ -37,10 +31,10 @@ def test_block_assembly_matches_full_rhs(ref_sys, ref_spec):
         q1 = _random_symmetric(rng, 2)
         q2 = rng.standard_normal((2, 2))
         q3 = _random_symmetric(rng, 2)
-        dq1, dq2, dq3 = control_rhs_blocks(q1, q2, q3, ref_sys, ref_spec.Pi)
+        dq1, dq2, dq3 = ControlRiccati(ref_sys, ref_spec.Pi).rhs_blocks(q1, q2, q3)
         # Q2 is the bottom-left block: Q = [[Q1, Q2'], [Q2, Q3]].
         assembled = assemble_blocks(dq1, dq2.T, dq3)
-        full = control_rhs_full(assemble_blocks(q1, q2.T, q3), ref_sys, ref_spec.Pi)
+        full = ControlRiccati(ref_sys, ref_spec.Pi).rhs_full(assemble_blocks(q1, q2.T, q3))
         np.testing.assert_allclose(assembled, full, rtol=0, atol=1e-12)
 
 
@@ -48,18 +42,18 @@ def test_full_rhs_on_stacked_input_matches_per_node(ref_sys, ref_spec):
     rng = np.random.default_rng(10)
     stack = np.array([assemble_blocks(_random_symmetric(rng, 2), rng.standard_normal((2, 2)),
                                       _random_symmetric(rng, 2)) for _ in range(5)])
-    stacked = control_rhs_full(stack, ref_sys, ref_spec.Pi)
-    per_node = np.array([control_rhs_full(q, ref_sys, ref_spec.Pi) for q in stack])
+    stacked = ControlRiccati(ref_sys, ref_spec.Pi).rhs_full(stack)
+    per_node = np.array([ControlRiccati(ref_sys, ref_spec.Pi).rhs_full(q) for q in stack])
     np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-13)
 
 
 def test_zero_solution_is_fixed_point(ref_sys, ref_spec):
-    assert not control_rhs_full(np.zeros((4, 4)), ref_sys, ref_spec.Pi).any()
+    assert not ControlRiccati(ref_sys, ref_spec.Pi).rhs_full(np.zeros((4, 4))).any()
 
 
 def test_cascade_decoupling_with_zero_q2(ref_sys, ref_spec):
-    dq1, dq2, _ = control_rhs_blocks(np.eye(2), np.zeros((2, 2)), np.eye(2),
-                                     ref_sys, ref_spec.Pi)
+    dq1, dq2, _ = ControlRiccati(ref_sys, ref_spec.Pi).rhs_blocks(
+        np.eye(2), np.zeros((2, 2)), np.eye(2))
     assert not dq1.any()
     assert not dq2.any()
 
@@ -70,7 +64,7 @@ def test_no_actuation_gives_backward_lyapunov(ref_spec):
     rng = np.random.default_rng(4)
     q2 = rng.standard_normal((2, 2))
     q3 = _random_symmetric(rng, 2)
-    dq1, dq2, dq3 = control_rhs_blocks(np.eye(2), q2, q3, sys_m, spec.Pi)
+    dq1, dq2, dq3 = ControlRiccati(sys_m, spec.Pi).rhs_blocks(np.eye(2), q2, q3)
     assert not dq1.any()
     np.testing.assert_allclose(dq2, -sys_m.A.T @ q2, atol=1e-14)
     np.testing.assert_allclose(dq3, -sys_m.A.T @ q3 - q3 @ sys_m.A, atol=1e-14)
@@ -128,7 +122,7 @@ class TestSolveControl:
 
 class TestFeedbackGain:
     def test_zero_blocks_zero_gain(self, ref_sys, ref_spec):
-        c = feedback_gain(np.zeros((2, 2)), np.zeros((2, 2)), ref_sys, ref_spec.Pi)
+        c = ControlRiccati(ref_sys, ref_spec.Pi).gain(np.zeros((2, 2)), np.zeros((2, 2)))
         assert c.shape == (1, 4)
         assert not c.any()
 
@@ -139,7 +133,7 @@ class TestFeedbackGain:
         expected = -pi_inv @ ref_sys.E.T @ np.hstack([-sigma, sigma])
         np.testing.assert_allclose(ref_control.c[-1], expected, atol=1e-14)
         np.testing.assert_allclose(
-            feedback_gain(ref_control.Q2[-1], ref_control.Q3[-1], ref_sys, ref_spec.Pi),
+            ControlRiccati(ref_sys, ref_spec.Pi).gain(ref_control.Q2[-1], ref_control.Q3[-1]),
             expected, atol=1e-14,
         )
 

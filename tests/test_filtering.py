@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from qmemctl import (
+    FilterRiccati,
     derive_system_matrices,
-    filter_rhs_blocks,
-    filter_rhs_full,
     hamiltonian_matrix,
     integrate_matrix_ode,
-    kalman_gain,
     solve_filter,
 )
 from qmemctl.filtering import solve_filter_cascade
@@ -37,9 +35,9 @@ def test_block_assembly_matches_full_rhs(ref_sys):
         p1 = _random_symmetric(rng, 2)
         p2 = rng.standard_normal((2, 2))
         p3 = _random_symmetric(rng, 2)
-        dp1, dp2, dp3 = filter_rhs_blocks(p1, p2, p3, ref_sys)
+        dp1, dp2, dp3 = FilterRiccati(ref_sys).rhs_blocks(p1, p2, p3)
         assembled = assemble_blocks(dp1, dp2, dp3)
-        full = filter_rhs_full(assemble_blocks(p1, p2, p3), ref_sys)
+        full = FilterRiccati(ref_sys).rhs_full(assemble_blocks(p1, p2, p3))
         np.testing.assert_allclose(assembled, full, rtol=0, atol=1e-12)
 
 
@@ -47,20 +45,20 @@ def test_full_rhs_on_stacked_input_matches_per_node(ref_sys):
     rng = np.random.default_rng(6)
     stack = np.array([assemble_blocks(_random_symmetric(rng, 2), rng.standard_normal((2, 2)),
                                       _random_symmetric(rng, 2)) for _ in range(5)])
-    stacked = filter_rhs_full(stack, ref_sys)
-    per_node = np.array([filter_rhs_full(p, ref_sys) for p in stack])
+    stacked = FilterRiccati(ref_sys).rhs_full(stack)
+    per_node = np.array([FilterRiccati(ref_sys).rhs_full(p) for p in stack])
     np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-13)
 
 
 def test_full_rhs_zero_fixed_point():
     sys_m = derive_system_matrices(_spec(M=np.zeros((2, 2))))  # B = 0, C = 0
-    rhs = filter_rhs_full(np.zeros((4, 4)), sys_m)
+    rhs = FilterRiccati(sys_m).rhs_full(np.zeros((4, 4)))
     assert not rhs.any()
 
 
 def test_blocks_decouple_when_p2_zero(ref_sys):
     p3 = np.diag([1.0, 2.0])
-    dp1, dp2, _ = filter_rhs_blocks(np.eye(2), np.zeros((2, 2)), p3, ref_sys)
+    dp1, dp2, _ = FilterRiccati(ref_sys).rhs_blocks(np.eye(2), np.zeros((2, 2)), p3)
     assert not dp1.any()
     assert not dp2.any()
 
@@ -74,7 +72,7 @@ def test_blocks_with_zero_observation():
     p2 = rng.standard_normal((2, 2))
     p3_seed = rng.standard_normal((2, 2))
     p3 = p3_seed @ p3_seed.T
-    dp1, dp2, dp3 = filter_rhs_blocks(np.eye(2), p2, p3, sys_m)
+    dp1, dp2, dp3 = FilterRiccati(sys_m).rhs_blocks(np.eye(2), p2, p3)
     assert not dp1.any()
     np.testing.assert_allclose(dp2, p2 @ sys_m.A.T, atol=1e-14)
     ginv = np.linalg.inv(sys_m.G)
@@ -87,14 +85,14 @@ def test_blocks_with_zero_observation():
 class TestKalmanGain:
     def test_zero_for_zero_state_and_coupling(self):
         sys_m = derive_system_matrices(_spec(M=np.zeros((2, 2))))
-        assert not kalman_gain(np.zeros((4, 4)), sys_m).any()
+        assert not FilterRiccati(sys_m).gain(np.zeros((4, 4))).any()
 
     def test_block_structure(self, ref_sys):
         rng = np.random.default_rng(1)
         p1 = _random_symmetric(rng, 2)
         p2 = rng.standard_normal((2, 2))
         p3 = _random_symmetric(rng, 2)
-        k = kalman_gain(assemble_blocks(p1, p2, p3), ref_sys)
+        k = FilterRiccati(ref_sys).gain(assemble_blocks(p1, p2, p3))
         ginv = np.linalg.inv(ref_sys.G)
         np.testing.assert_allclose(k[:2], p2 @ ref_sys.C.T @ ginv, atol=1e-13)
         np.testing.assert_allclose(
@@ -102,7 +100,7 @@ class TestKalmanGain:
         )
 
     def test_smoother_gain_vanishes_with_p2(self, ref_sys):
-        k = kalman_gain(assemble_blocks(np.eye(2), np.zeros((2, 2)), np.eye(2)), ref_sys)
+        k = FilterRiccati(ref_sys).gain(assemble_blocks(np.eye(2), np.zeros((2, 2)), np.eye(2)))
         assert not k[:2].any()
 
 

@@ -17,18 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import random_valid_scenario
 from qmemctl import (
-    control_rhs_blocks,
-    control_rhs_full,
+    ControlRiccati,
+    FilterRiccati,
     derive_system_matrices,
-    feedback_gain,
-    filter_rhs_blocks,
-    filter_rhs_full,
-    kalman_gain,
     solve_control,
     solve_filter,
 )
-from qmemctl.control import ControlRiccati
-from qmemctl.filtering import FilterRiccati
 from qmemctl.ode import assemble_blocks
 
 RTOL = 1e-10
@@ -64,17 +58,17 @@ def _assert_close(actual, expected):
 @given(cases)
 def test_filter_block_rhs_equals_full_rhs(case):
     _, sys_m, p1, p2, p3 = _draw(case)
-    assembled = assemble_blocks(*filter_rhs_blocks(p1, p2, p3, sys_m))
-    _assert_close(assembled, filter_rhs_full(assemble_blocks(p1, p2, p3), sys_m))
+    assembled = assemble_blocks(*FilterRiccati(sys_m).rhs_blocks(p1, p2, p3))
+    _assert_close(assembled, FilterRiccati(sys_m).rhs_full(assemble_blocks(p1, p2, p3)))
 
 
 @deterministic
 @given(cases)
 def test_control_block_rhs_equals_full_rhs(case):
     spec, sys_m, q1, q2, q3 = _draw(case)
-    dq1, dq2, dq3 = control_rhs_blocks(q1, q2, q3, sys_m, spec.Pi)
+    dq1, dq2, dq3 = ControlRiccati(sys_m, spec.Pi).rhs_blocks(q1, q2, q3)
     # Q2 is the bottom-left block: Q = [[Q1, Q2'], [Q2, Q3]].
-    full = control_rhs_full(assemble_blocks(q1, q2.T, q3), sys_m, spec.Pi)
+    full = ControlRiccati(sys_m, spec.Pi).rhs_full(assemble_blocks(q1, q2.T, q3))
     _assert_close(assemble_blocks(dq1, dq2.T, dq3), full)
 
 
@@ -83,19 +77,19 @@ def test_control_block_rhs_equals_full_rhs(case):
 def test_block_gain_equals_kalman_gain(case):
     _, sys_m, p1, p2, p3 = _draw(case)
     _assert_close(FilterRiccati(sys_m).gain_blocks(p2, p3),
-                  kalman_gain(assemble_blocks(p1, p2, p3), sys_m))
+                  FilterRiccati(sys_m).gain(assemble_blocks(p1, p2, p3)))
 
 
 @deterministic
 @given(cases)
 def test_feedback_gain_equals_solver_gain(case):
-    """feedback_gain agrees with a Pi solve, and with the stacked evaluation
+    """ControlRiccati.gain agrees with a Pi solve, and with the stacked evaluation
     solve_control applies to its whole (N+1)-node grid."""
     spec, sys_m, q1, q2, q3 = _draw(case)
     direct = -np.linalg.solve(spec.Pi, sys_m.E.T @ np.concatenate([q2, q3], axis=-1))
-    _assert_close(feedback_gain(q2, q3, sys_m, spec.Pi), direct)
+    _assert_close(ControlRiccati(sys_m, spec.Pi).gain(q2, q3), direct)
     q2s, q3s = np.stack([q1, q2]), np.stack([q3, q2.T])
-    per_node = np.array([feedback_gain(a, b, sys_m, spec.Pi) for a, b in zip(q2s, q3s)])
+    per_node = np.array([ControlRiccati(sys_m, spec.Pi).gain(a, b) for a, b in zip(q2s, q3s)])
     _assert_close(ControlRiccati(sys_m, spec.Pi).gain(q2s, q3s), per_node)
 
 
@@ -108,9 +102,9 @@ def _solutions(spec, sys_m, steps):
 # Both grids step exactly, so they differ by round-off alone.  Round-off is
 # amplified by some scenarios: on seed 5 at n = 8, m = 4 a perturbation of Q
 # near tau grows 2.8e5-fold by t = 0, and the two grids differ by 4.8e-11, the
-# largest gap of the 80 draws.  The PSD bound scales with the solution: on
-# seed 8 at n = 8, m = 4, max |Q| is 5.4e8 and the monitor's absolute
-# tolerance warns at a round-off eigenvalue of -1.1e-7.
+# largest gap of the 80 draws.  The PSD bound scales with the solution, as
+# the monitor's tolerance PSD_WARN_TOL (1 + max |Q|) does: on seed 8 at n = 8,
+# m = 4, max |Q| is 5.4e8 and the round-off eigenvalue is -1.1e-7.
 @pytest.mark.parametrize("m", [2, 4])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_riccati_solutions_are_exact_on_random_scenarios(n, m):
