@@ -48,9 +48,12 @@ COMMANDS = ("validate", "filter", "control", "simulate", "montecarlo", "decohere
 
 def _field_array(name: str, raw) -> np.ndarray:
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"field '{name}': not a numeric array ({exc})") from None
+    if not np.isfinite(arr).all():
+        raise ScenarioFormatError(f"field '{name}': every entry must be a finite number")
+    return arr
 
 
 def _field_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:

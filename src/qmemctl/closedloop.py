@@ -24,13 +24,14 @@ on the border, and keeps the corner exactly 1.
 
 RK4 evaluates that right-hand side only at the nodes and midpoints of the
 shared grid (the half-step lattice of ode.rk4_stage_times), so a and f are
-tabulated there: K and c from ode.sample_grid_at (bitwise equal to
-interpolating at each stage), then sA + sE c and K G K' by stacked matmuls.
-The tables cover one block of _BLOCK_STEPS steps at a time, refilled in one
-preallocated pair of buffers when the stage index leaves the block; RK4 visits
-the lattice in increasing order, so every entry is computed exactly once and
-the tables hold at most 2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever
-the step count.  sample_grid is not called.
+tabulated there: K and c from ode.lattice_values with 2 points per step
+(a midpoint weighs its two nodes by exactly 1/2), then sA + sE c and
+K G K' by stacked matmuls.  The tables cover one block of _BLOCK_STEPS steps
+at a time, refilled in one preallocated pair of buffers when the stage index
+leaves the block; RK4 visits the lattice in increasing order, so every entry
+is computed exactly once and the tables hold at most
+2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step count.
+sample_grid is not called.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .control import ControlRiccati
 from .errors import GridMismatchError
-from .ode import TimeGrid, congruence, integrate_matrix_ode, rk4_stage_times, sample_grid_at
+from .ode import congruence, integrate_matrix_ode, lattice_values
 from .ode import sample_grid  # noqa: F401  (perfbench traces closedloop.sample_grid)
 
 # Steps per block of the coefficient tables: their nodes and midpoints,
@@ -116,10 +117,12 @@ def solve_closed_loop(
     [[T, x], [x', 1]].  Its coefficients a = blockdiag(sA + sE c, 0) and
     f = blockdiag(K G K', 0) are tabulated at the stage times (node k at
     lattice index 2k, the midpoint of step k at 2k + 1), one block of
-    _BLOCK_STEPS steps at a time, with K(t) and c(t) linearly interpolated
-    from the grid; the right-hand side looks them up by lattice index, and
-    no sample_grid call is made.  T and x_mean are returned as owned,
-    C-contiguous copies of the bordered grid's blocks.
+    _BLOCK_STEPS steps at a time, with K and c from
+    ode.lattice_values(values, 2, lo, hi): node values at the nodes, the two
+    neighbouring nodes weighed by exactly 1/2 at a midpoint.  The right-hand side
+    looks them up by lattice index, and no sample_grid call is made.  T and
+    x_mean are returned as owned, C-contiguous copies of the bordered grid's
+    blocks.
     """
     if not np.array_equal(filter_sol.times, control_sol.times):
         raise GridMismatchError("filter and control solutions use different grids")
@@ -135,10 +138,8 @@ def solve_closed_loop(
             f"gain override shape {c_values.shape} != {control_sol.c.shape}"
         )
     dim = 2 * mean0.size
-    lattice = rk4_stage_times(0.0, tau, steps)
-    c_grid = TimeGrid(times, c_values)
-    k_grid = TimeGrid(times, filter_sol.K)
-    block_size = min(2 * _BLOCK_STEPS + 1, lattice.size)
+    points = 2 * steps + 1
+    block_size = min(2 * _BLOCK_STEPS + 1, points)
     # The border rows and columns of a and f stay zero; each refill writes
     # only the top-left blocks.
     a_table = np.zeros((block_size, dim + 1, dim + 1))
@@ -154,12 +155,13 @@ def solve_closed_loop(
         j = int(t * per_half_step + 0.5) - block_start
         if not 0 <= j < block_size:
             block_start += j
-            stage_times = lattice[block_start:block_start + block_size]
+            block_end = min(block_start + block_size, points)
             a_cl, kgk = _closed_loop_coefficients(
-                sample_grid_at(c_grid, stage_times), sample_grid_at(k_grid, stage_times), sys
+                lattice_values(c_values, 2, block_start, block_end),
+                lattice_values(filter_sol.K, 2, block_start, block_end), sys,
             )
-            a_table[:stage_times.size, :dim, :dim] = a_cl
-            f_table[:stage_times.size, :dim, :dim] = kgk
+            a_table[:block_end - block_start, :dim, :dim] = a_cl
+            f_table[:block_end - block_start, :dim, :dim] = kgk
             j = 0
         return _lyapunov_rhs(a_table[j], state, f_table[j])
 

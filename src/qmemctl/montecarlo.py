@@ -13,10 +13,11 @@ surrogate is simulated here path by path with Euler-Maruyama:
     sX += (sA sX + sE U) h + sB dw sqrt(h)
     x  += (sA x + sE U) h + K(t) dV
 
-with gains linearly interpolated between grid nodes.  Higher-order schemes
-would buy nothing because the gain schedules are only piecewise linear in
-time.  The scheme is run in the coordinates (e, x) with e = sX - x, which
-the same equations give as
+with gains linearly interpolated between grid nodes by ode.lattice_values,
+the rule the closed-loop moments use too.  Higher-order schemes would buy
+nothing because the gain schedules are only piecewise linear in time.  The
+scheme is run in the coordinates (e, x) with e = sX - x, which the same
+equations give as
 
     e += (sA - K sC) e h + (sB - K D) dw sqrt(h)
     x += (sA + sE c) x h + K sC e h + K D dw sqrt(h)
@@ -24,19 +25,21 @@ the same equations give as
 so that e, and every statistic of the estimation error, is exactly 0 when
 there is no noise and cov0 = 0.  The update is affine and its gains are
 fixed within each substep, so the substeps of one grid interval fold into
-one precomputed map per node (_node_operators): every path advances a whole
-node with two matrix products, which also yield the substeps' control-energy
-terms.  Each path owns a generator seeded by base_seed XOR
-splitmix64(index) and writes its draws into its own row, in windows of whole
-node intervals.  Only that per-path drawing is threaded: contiguous
-path-index ranges are filled by one thread per available CPU, since numpy's
-generators release the GIL while filling.  Which thread fills a row cannot
-change the row, and the propagation and the moment sums that follow run in
-one thread over whole arrays, so every output is bit-identical whatever the
-thread count.  Moments are accumulated only at the requested grid nodes (see
-checkpoint_nodes); the state is checked for finiteness at every node.  The
-oracle returns ensemble statistics only (simulate_ensemble); two paths with
-one seed give a single path's trajectory as their mean.
+one map per node (_node_operators): every path advances a whole node with
+two matrix products, which also yield the substeps' control-energy terms.
+Each path owns a generator seeded by base_seed XOR splitmix64(index) and
+writes its draws into its own row, in windows of whole node intervals; the
+maps of a window are folded when it is drawn, so memory is bounded by
+_NOISE_BUDGET whatever the grid length.  Only that per-path drawing is
+threaded: contiguous path-index ranges are filled by one thread per
+available CPU, since numpy's generators release the GIL while filling.
+Which thread fills a row cannot change the row, and the propagation and the
+moment sums that follow run in one thread over whole arrays, so every
+output is bit-identical whatever the thread count.  Moments are
+accumulated only at the requested grid nodes (see checkpoint_nodes); the
+state is checked for finiteness at every node.  The oracle returns ensemble
+statistics only (simulate_ensemble); two paths with one seed give a single
+path's trajectory as their mean.
 """
 
 from __future__ import annotations
@@ -50,12 +53,14 @@ import numpy as np
 
 from . import checks
 from .errors import DivergenceError, GridMismatchError
+from .ode import lattice_values
 
 _MASK64 = (1 << 64) - 1
 
-# Noise is generated in windows of whole node intervals, of at most this many
-# doubles over all paths unless one interval alone is larger; this bounds
-# peak memory without changing any per-path stream.
+# Noise is drawn, and the node maps folded, in windows of whole node
+# intervals that hold at most this many doubles of noise and maps together,
+# unless one interval alone is larger; this bounds peak memory without
+# changing any per-path stream or any bit of the maps.
 _NOISE_BUDGET = 1 << 24
 
 
@@ -192,20 +197,6 @@ class SampleMoments:
             return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
 
 
-def _substep_gains(gains: GainSchedule, substeps_per_node: int):
-    """Gains linearly interpolated at the left endpoint of every substep."""
-    times = gains.times
-    steps = len(times) - 1
-    sub = substeps_per_node
-    total = steps * sub
-    node = np.arange(total) // sub
-    frac = (np.arange(total) % sub) / sub
-    k_sub = (1.0 - frac)[:, None, None] * gains.K[node] + frac[:, None, None] * gains.K[node + 1]
-    c_sub = (1.0 - frac)[:, None, None] * gains.c[node] + frac[:, None, None] * gains.c[node + 1]
-    h = float(times[-1] - times[0]) / total
-    return h, k_sub, c_sub
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     count = values.shape[0]
     mean = float(values.mean()) if count else 0.0
@@ -224,8 +215,9 @@ def _node_indices(nodes, steps: int) -> np.ndarray:
     return idx
 
 
-def _node_operators(sys, gains: GainSchedule, sub: int):
-    """Fold the `sub` Euler-Maruyama substeps of every grid interval into one map.
+def _node_operators(sys, gains: GainSchedule, sub: int, h: float, pi_sqrt: np.ndarray,
+                   q0: int, q1: int):
+    """Fold the `sub` Euler-Maruyama substeps of grid intervals q0..q1-1 into one map each.
 
     The substep j update of the joint row state z = (e, x), e = sX - x, is
     the affine map z <- z M_j' + dw_j N_j' with the block lower-triangular
@@ -234,56 +226,57 @@ def _node_operators(sys, gains: GainSchedule, sub: int):
                [h K_j sC,               I + h (sA + sE c_j)]],
         N_j = [[sqrt(h) (sB - K_j D)], [sqrt(h) K_j D]],
 
-    and its energy integrand is |L_j x_j|^2 with L_j = sqrt(Pi) c_j.  Over
-    node q, with z_q the state at the node and w_q the node's s m noise draws
-    (substep-major), the returned operators give
+    and its energy integrand is |L_j x_j|^2 with L_j = sqrt(Pi) c_j, the
+    gains K_j and c_j taken at the substep's left end by ode.lattice_values
+    with `sub` points per step.  Over node q, with z_q the state at the node
+    and w_q the node's s m noise draws (substep-major), the returned
+    operators give
 
-        z_q W_z[q] + w_q W_w[q] = (z_{q+1}, L_0 x_0, ..., L_{s-1} x_{s-1}),
+        z_q W_z[q - q0] + w_q W_w[q - q0] = (z_{q+1}, L_0 x_0, ..., L_{s-1} x_{s-1}),
 
-    x_k being the controller state at the node's substep k.  Returns h,
-    W_z (steps, 4n, 4n + s d), W_w (steps, s m, 4n + s d) and L at the
-    horizon (transposed, 2n x d).  Products of block lower-triangular maps
-    keep their zero block exactly, so e stays bitwise 0 without noise.
+    x_k being the controller state at the node's substep k.  Returns W_z
+    (q1 - q0, 4n, 4n + s d) and W_w (q1 - q0, s m, 4n + s d).  `h` is the
+    substep of the whole grid and `pi_sqrt` is sqrt(Pi), both passed in so
+    every block of nodes folds with the same bits.  Products of block
+    lower-triangular maps keep their zero block exactly, so e stays bitwise
+    0 without noise.
     """
-    steps = len(gains.times) - 1
-    h, k_sub, c_sub = _substep_gains(gains, sub)
+    k_sub = lattice_values(gains.K, sub, q0 * sub, q1 * sub)
+    c_sub = lattice_values(gains.c, sub, q0 * sub, q1 * sub)
+    nodes = q1 - q0
     sqrt_h = np.sqrt(h)
     twon = 2 * sys.n
     dim, m, d = 2 * twon, sys.m, gains.c.shape[1]
     cols = dim + sub * d
-
-    # Per-substep operators, transposed for row states.
     eye = np.eye(twon)
-    k_sc = np.matmul(k_sub, sys.sC)            # (S, 2n, 2n)
-    k_d = np.matmul(k_sub, sys.D)              # (S, 2n, m)
-    m_op = np.zeros((len(k_sub), dim, dim))
-    m_op[:, :twon, :twon] = eye + h * sys.sA - h * k_sc
-    m_op[:, twon:, :twon] = h * k_sc
-    m_op[:, twon:, twon:] = eye + h * (sys.sA + np.matmul(sys.sE, c_sub))
-    m_t = np.swapaxes(m_op, 1, 2)
-    n_op = np.empty((len(k_sub), dim, m))
-    n_op[:, :twon, :] = sqrt_h * (sys.sB - k_d)
-    n_op[:, twon:, :] = sqrt_h * k_d
-    n_t = np.swapaxes(n_op, 1, 2)
-    pi_sqrt = psd_sqrt(gains.Pi)
-    l_t = np.swapaxes(np.matmul(pi_sqrt, c_sub), 1, 2)   # (S, 2n, d)
 
     # reach_z[q] and w_w[q, :, :dim] map the node's state and noise to the
     # state at substep k of node q; substep k's own noise enters after it.
-    w_z = np.empty((steps, dim, cols))
-    w_w = np.zeros((steps, sub * m, cols))
-    reach_z = np.broadcast_to(np.eye(dim), (steps, dim, dim))
+    # Substep k's maps M_j of every node are built in m_op just before use.
+    w_z = np.empty((nodes, dim, cols))
+    w_w = np.zeros((nodes, sub * m, cols))
+    reach_z = np.broadcast_to(np.eye(dim), (nodes, dim, dim))
     reach_w = w_w[:, :, :dim]
+    m_op = np.zeros((nodes, dim, dim))
     for k in range(sub):
-        l_k = l_t[k::sub]
+        k_j, c_j = k_sub[k::sub], c_sub[k::sub]
+        k_sc = np.matmul(k_j, sys.sC)
+        k_d = np.matmul(k_j, sys.D)
+        m_op[:, :twon, :twon] = eye + h * sys.sA - h * k_sc
+        m_op[:, twon:, :twon] = h * k_sc
+        m_op[:, twon:, twon:] = eye + h * (sys.sA + np.matmul(sys.sE, c_j))
+        m_t = np.swapaxes(m_op, 1, 2)
+        l_k = np.swapaxes(np.matmul(pi_sqrt, c_j), 1, 2)   # (nodes, 2n, d)
         out = slice(dim + k * d, dim + (k + 1) * d)
         np.matmul(reach_z[:, :, twon:], l_k, out=w_z[:, :, out])
         np.matmul(reach_w[:, :, twon:], l_k, out=w_w[:, :, out])
-        reach_z = reach_z @ m_t[k::sub]
-        reach_w[...] = reach_w @ m_t[k::sub]
-        reach_w[:, k * m:(k + 1) * m, :] = n_t[k::sub]
+        reach_z = reach_z @ m_t
+        reach_w[...] = reach_w @ m_t
+        # N_j' carries substep k's own noise
+        reach_w[:, k * m:(k + 1) * m, :twon] = sqrt_h * np.swapaxes(sys.sB - k_d, 1, 2)
+        reach_w[:, k * m:(k + 1) * m, twon:] = sqrt_h * np.swapaxes(k_d, 1, 2)
     w_z[:, :, :dim] = reach_z
-    return h, w_z, w_w, (pi_sqrt @ gains.c[-1]).T
+    return w_z, w_w
 
 
 def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
@@ -304,9 +297,11 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     the held X0 so that it stays bitwise frozen; the finiteness check runs at
     every node.  The noise of each path is drawn into its own row (threaded
     by path range, see _draw_normals), in windows of whole node intervals
-    that reuse one buffer; everything after that runs on whole arrays in one
-    thread, so results depend only on (seeds, substeps) and are
-    bit-reproducible.
+    that reuse one buffer, and each window's maps are folded as it is drawn,
+    with the substep h of the whole grid and sqrt(Pi) computed once here;
+    everything after the drawing runs on whole arrays in one thread, so
+    results depend only on (seeds, substeps) and are bit-reproducible,
+    whatever the window size.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
@@ -316,6 +311,8 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     if sub < 1:
         raise ValueError(f"substeps_per_node must be >= 1, got {sub}")
     nodes = _node_indices(nodes, steps)
+    h = float(times[-1] - times[0]) / (steps * sub)
+    pi_sqrt = psd_sqrt(gains.Pi)
     slot = np.full(steps + 1, -1)
     slot[nodes] = np.arange(len(nodes))
 
@@ -371,8 +368,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     # deviation or cost below, which checks.monte_carlo fails (delta z = inf
     # or mc_cost_finite).
     with np.errstate(over="ignore", invalid="ignore"):
-        h, w_z, w_w, l_t_final = _node_operators(sys, gains, sub)
-        cols = w_z.shape[2]
+        cols = dim + sub * d
         # state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
         state, ahead, drive = (np.empty((count, cols), order="F") for _ in range(3))
         state[:, :n] = spread0
@@ -382,16 +378,20 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
 
         squares = np.zeros((count, cols - dim), order="F")
         draws = sub * m
-        window = max(1, min(steps, _NOISE_BUDGET // max(1, count * draws)))
+        # Doubles per node of a window: every path's draws, the folded maps
+        # W_z and W_w, and, while they are folded, two products and one M_j.
+        per_node = count * draws + (dim + draws) * cols + 3 * dim * dim
+        window = max(1, min(steps, _NOISE_BUDGET // per_node))
         buffer = np.empty(count * window * draws)
         q = 0
         while q < steps:
             width = min(window, steps - q)
             noise = buffer[:count * width * draws].reshape(count, width * draws)
             _draw_normals(rngs, noise, workers)
+            w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q, q + width)
             for k in range(width):
-                np.matmul(state[:, :dim], w_z[q], out=ahead)
-                np.matmul(noise[:, k * draws:(k + 1) * draws], w_w[q], out=drive)
+                np.matmul(state[:, :dim], w_z[k], out=ahead)
+                np.matmul(noise[:, k * draws:(k + 1) * draws], w_w[k], out=drive)
                 np.add(ahead, drive, out=ahead)
                 state, ahead = ahead, state
                 terms = state[:, dim:]
@@ -401,10 +401,11 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                 squares += drive[:, dim:]
                 q += 1
                 take_node(state[:, :dim], q, q * sub)
+            del w_z, w_w  # before the next window's operators are folded
         del buffer, noise
 
         z_state = state[:, :dim]
-        g_final = ((z_state[:, twon:] @ l_t_final) ** 2).sum(axis=1)
+        g_final = ((z_state[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
         energy = h * squares.sum(axis=1) + (0.5 * h) * (g_final - g_first)
 
         # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).

@@ -24,10 +24,12 @@ to be resampled against each other.
 
 The RK4 loop evaluates the right-hand side on the half-step lattice of
 `rk4_stage_times`: node k at index 2k and the midpoint of step k at index
-2k + 1.  A right-hand side driven by gains tabulated on that lattice (the
-closed-loop moments are) indexes into its tables instead of interpolating,
-so no solver calls `sample_grid`; `sample_grid_at` builds such a table, with
-`sample_grid`'s own weight formula, for a block of stage times at once.
+2k + 1.  `lattice_values` is the one rule for values between grid nodes: it
+interpolates node values at a block of points of a lattice with any number
+of points per step.  The closed-loop moments index their RK4 stage gains
+from it (2 points per step) and the Monte Carlo oracle its Euler-Maruyama
+substep gains (s points per step); `sample_grid`, which searches for an
+arbitrary time, is left to tests and one-off queries.
 
 The module also owns the stacked block-state layout the reference block
 cascades integrate, a (3, n, n) array (B1, B2, B3) standing for the
@@ -321,44 +323,33 @@ def mobius_riccati(
     return TimeGrid(times, values)
 
 
-def sample_grid_at(grid: TimeGrid, ts) -> np.ndarray:
-    """`sample_grid` at every time of `ts`, stacked along a new first axis.
+def lattice_values(values: np.ndarray, sub: int, lo: int, hi: int) -> np.ndarray:
+    """Node values linearly interpolated at points lo..hi-1 of a `sub`-point lattice.
 
-    Each entry is bitwise equal to the matching `sample_grid` call: the same
-    clamp, node search and weight w = (t - t_i) / (t_{i+1} - t_i), evaluated
-    elementwise.  The two are kept apart because a scalar call through this
-    form costs about four times as much, and tests call `sample_grid` at
-    every RK4 stage.  Raises ValueError, naming the first such time, if any
-    time lies outside the grid.
+    The lattice has `sub` points per grid step: point j lies at the exact
+    fraction f = (j mod sub) / sub of step k = j // sub, and the last node,
+    j = N sub, counts as step N - 1 at f = 1.  Each point is
+    (1 - f) v[k] + f v[k + 1], so the nodes come back bitwise.  The closed
+    loop takes its RK4 stage gains from it (sub = 2: nodes and midpoints) and
+    the Monte Carlo oracle its Euler-Maruyama substep gains (sub = s), each
+    one block of points at a time; any block is bitwise the same slice of the
+    whole lattice.  Needs N >= 1 steps and 0 <= lo <= hi <= N sub + 1.
     """
-    times = grid.times
-    ts = np.asarray(ts, dtype=float)
-    lo, hi = times[0], times[-1]
-    fuzz = 64.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
-    outside = (ts < lo - fuzz) | (ts > hi + fuzz)
-    if outside.any():
-        t = ts[np.argmax(outside)]
-        raise ValueError(f"t = {t} outside grid range [{lo}, {hi}]")
-    # min(max(t, lo), hi), with Python's choice on ties
-    ts = np.where(lo > ts, lo, ts)
-    ts = np.where(hi < ts, hi, ts)
-    if len(times) == 1:
-        return np.repeat(grid.values[:1], ts.size, axis=0)
-    idx = np.searchsorted(times, ts, side="right") - 1
-    idx = np.clip(idx, 0, len(times) - 2)
-    w = (ts - times[idx]) / (times[idx + 1] - times[idx])
-    w = w.reshape(w.shape + (1,) * (grid.values.ndim - 1))
-    out = (1.0 - w) * grid.values[idx]
-    out += w * grid.values[idx + 1]
+    j = np.arange(lo, hi)
+    k = np.minimum(j // sub, len(values) - 2)
+    f = ((j - k * sub) / sub).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = (1.0 - f) * values[k]
+    out += f * values[k + 1]
     return out
 
 
 def sample_grid(grid: TimeGrid, t: float) -> np.ndarray:
     """Linearly interpolate the grid at time t; exact at the nodes.
 
-    For one-off queries such as the off-node gains of tests and perturbation
-    studies.  No solver calls it: the closed loop tabulates its gains block
-    by block with `sample_grid_at`, the elementwise form of this function.
+    For one-off queries at arbitrary times, such as the reference gains of
+    tests and perturbation studies.  No solver calls it: the solvers need
+    gains only on a lattice of whole fractions of a step, and take them from
+    `lattice_values` without a time search.
     """
     times = grid.times
     fuzz = 64.0 * np.finfo(float).eps * max(1.0, abs(times[0]), abs(times[-1]))

@@ -95,6 +95,19 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError, match=f"'{field}'"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("R", [[1.0, 0.0], [0.0, float("nan")]]), ("M", [[1.0, float("inf")], [0.0, 1.0]]),
+        ("N", [[0.0, float("-inf")]]), ("D", [[float("nan"), 0.0]]),
+        ("F", [[1.0, 0.0], [0.0, float("inf")]]), ("Pi", [[float("nan")]]),
+        ("mean0", [float("nan"), 0.0]), ("cov0", [[0.5, 0.0], [0.0, float("inf")]]),
+        pytest.param("R", [[10**400, 0.0], [0.0, 1.0]], id="R-huge-int"),
+    ])
+    def test_non_finite_entry_names_field(self, tmp_path, field, value):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(REFERENCE, **{field: value})))
+        with pytest.raises(ScenarioFormatError, match=f"field '{field}'"):
+            load_scenario(path)
+
 
 class TestValidateCommand:
     def test_valid_scenario_exits_zero(self, tmp_path, capsys):

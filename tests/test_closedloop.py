@@ -46,27 +46,51 @@ def _t0(spec):
     return np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
 
 
-def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None):
+def _lattice_rule(times):
+    """Gain at an RK4 stage time by the lattice rule, restated per stage.
+
+    Stage time t is lattice point j = round(t / (h/2)): node k = j / 2, or the
+    midpoint of step k = (j - 1) / 2 at weight exactly 1/2; the last node is
+    step N - 1 at weight 1.
+    """
+    steps = len(times) - 1
+    per_half_step = 2.0 * steps / (times[-1] - times[0])
+
+    def gain_at(values, t):
+        j = round((t - times[0]) * per_half_step)
+        k = min(j // 2, steps - 1)
+        w = (j - 2 * k) / 2
+        return (1.0 - w) * values[k] + w * values[k + 1]
+
+    return gain_at
+
+
+def _time_search(times):
+    """Gain at a stage time by sample_grid, its weight taken from rounded times."""
+    return lambda values, t: sample_grid(TimeGrid(times, values), t)
+
+
+def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None,
+                               rule=_lattice_rule):
     """T, x_mean, Phi, Delta and H_pont with K and c interpolated at every RK4 stage.
 
-    The reference the tabulated coefficients must reproduce bitwise: each
-    stage calls sample_grid on the gain grids and builds the bordered
+    Each stage takes its gains from `rule(times)` and builds the bordered
     coefficients a = blockdiag(sA + sE c, 0) and f = blockdiag(K G K', 0)
-    for the state [[T, x], [x', 1]].
+    for the state [[T, x], [x', 1]].  With the default lattice rule this is
+    the reference the tabulated coefficients must reproduce bitwise.
     """
     times = filt.times
     steps = len(times) - 1
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     dim = 2 * mean0.size
     c_values = ctrl.c if gain_override is None else np.asarray(gain_override, dtype=float)
-    c_grid = TimeGrid(times, c_values)
-    k_grid = TimeGrid(times, filt.K)
+    gain_at = rule(times)
 
     def rhs(t, state):
         a = np.zeros((dim + 1, dim + 1))
         f = np.zeros((dim + 1, dim + 1))
-        a[:dim, :dim] = sys_m.sA + sys_m.sE @ sample_grid(c_grid, t)
-        f[:dim, :dim] = congruence(sample_grid(k_grid, t), sys_m.G)
+        a[:dim, :dim] = sys_m.sA + sys_m.sE @ gain_at(c_values, t)
+        f[:dim, :dim] = congruence(gain_at(filt.K, t), sys_m.G)
         return a @ state + state @ a.T + f
 
     z0 = np.concatenate([mean0, mean0, [1.0]])
@@ -142,7 +166,7 @@ class TestMomentRhs:
 
 
 class TestGainTables:
-    """solve_closed_loop looks its gains up in tables, bitwise as if interpolating."""
+    """solve_closed_loop looks its gains up in tables, bitwise as the per-stage lattice rule."""
 
     def test_reference_scenario(self):
         _assert_matches_interpolation(_spec(steps=2000))
@@ -159,6 +183,18 @@ class TestGainTables:
 
     def test_one_step_grid(self):
         _assert_matches_interpolation(_spec(tau=0.05, steps=1))
+
+    @pytest.mark.parametrize("spec", [_spec(steps=2000), n8_spec(1, steps=2000)],
+                             ids=["reference", "n8"])
+    def test_close_to_time_search_interpolation(self, spec):
+        # The lattice rule weighs a midpoint by exactly 1/2; sample_grid's
+        # weight, from rounded times, is off 1/2 by up to about 1e-12.
+        sys_m, filt, ctrl, closed = _pipeline(spec)
+        expected = _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                              rule=_time_search)
+        for name, values in expected.items():
+            scale = 1.0 + np.max(np.abs(values))
+            assert np.max(np.abs(getattr(closed, name) - values)) <= 1e-15 * scale, name
 
     def test_no_sample_grid_call(self, monkeypatch, ref_spec, ref_sys, ref_filter,
                                  ref_control, ref_closed):

@@ -435,10 +435,11 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
 
 
 class TestNodeOperators:
-    # (scenario, substeps, noise budget in node intervals, nodes).  The
+    # (scenario, substeps, window budget in node intervals, nodes).  The
     # random draws cover d = 0, 1, 2 at each n; a budget of 0.5 is smaller
     # than one node interval, so each window still holds one; 3 intervals
-    # over 100 steps leave a last window of one node.
+    # over 100 steps leave a last window of one node.  A node interval's
+    # share of the budget is its noise for every path plus its operators.
     CASES = [
         (("random", 2, 2, 11), 1, None, None),      # d = 0
         (("random", 2, 2, 1), 8, 1, None),          # d = 1
@@ -459,13 +460,23 @@ class TestNodeOperators:
         sys_m, filt, ctrl, _ = _pipeline(spec)
         gains = gain_schedule(filt, ctrl)
         paths = 12
+        width = spec.steps
         if budget is not None:
-            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * paths * sub * spec.m))
+            dim, draws = 4 * spec.n, sub * spec.m
+            per_node = paths * draws + (dim + draws) * (dim + sub * spec.d) + 3 * dim * dim
+            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * per_node))
+            width = max(1, int(budget))
+        fold = montecarlo._node_operators
+        windows = []
+        monkeypatch.setattr(montecarlo, "_node_operators",
+                            lambda *args: windows.append(args[-1] - args[-2]) or fold(*args))
         if nodes == "checkpoints":
             nodes = checkpoint_nodes(spec.steps, 10)
         seeds = [derive_path_seed(31, i) for i in range(paths)]
         folded = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
                                    base_seed=31, substeps_per_node=sub, nodes=nodes)
+        last = [spec.steps % width] if spec.steps % width else []
+        assert windows == [width] * (spec.steps // width) + last
         reference = _substep_reference(sys_m, gains, spec.mean0, spec.cov0, seeds, sub, nodes)
         for field in dataclasses.fields(reference):
             ref = np.asarray(getattr(reference, field.name), dtype=float)
@@ -482,6 +493,24 @@ class TestNodeOperators:
         tracemalloc.start()
         try:
             simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2000,
+                              base_seed=5, nodes=checkpoint_nodes(spec.steps, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * budget
+
+    def test_peak_memory_bounded_with_few_paths(self, monkeypatch):
+        # The operators are folded one noise window at a time, so a long
+        # grid stays within the budget even when a few paths draw little
+        # noise; whole-grid operators took this case to about 360 MB.
+        spec = n8_spec(1, steps=4000)
+        sys_m, filt, ctrl, _ = _pipeline(spec)
+        gains = gain_schedule(filt, ctrl)
+        budget = 1 << 21  # doubles: 16 MB
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4,
                               base_seed=5, nodes=checkpoint_nodes(spec.steps, 10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

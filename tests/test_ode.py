@@ -15,7 +15,7 @@ from qmemctl import (
     sample_grid,
 )
 from qmemctl import ode
-from qmemctl.ode import mobius_riccati, rk4_stage_times, sample_grid_at
+from qmemctl.ode import lattice_values, mobius_riccati, node_times, rk4_stage_times
 
 
 def test_zero_rhs_constant_solution():
@@ -151,28 +151,54 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(grid, 1.1)
 
-    def test_vectorised_form_matches_per_time_calls(self):
-        rng = np.random.default_rng(1)
-        times = np.linspace(0.0, 5.0, 41)
-        grid = TimeGrid(times, rng.standard_normal((41, 3, 2)))
-        fuzz = 64.0 * np.finfo(float).eps * 5.0
-        ts = np.concatenate([
-            rk4_stage_times(0.0, 5.0, 40), rk4_stage_times(0.0, 5.0 + 0.25 * fuzz, 40),
-            rng.uniform(0.0, 5.0, 50), [-0.5 * fuzz, 5.0 + 0.5 * fuzz, -0.0],
-        ])
-        table = sample_grid_at(grid, ts)
-        assert table.shape == (len(ts), 3, 2)
-        for t, row in zip(ts, table):
-            assert np.array_equal(row, sample_grid(grid, float(t)))
 
-    def test_vectorised_form_on_one_node_grid(self):
-        grid = TimeGrid([0.0], np.ones((1, 2, 2)))
-        assert np.array_equal(sample_grid_at(grid, [0.0, 0.0]), np.ones((2, 2, 2)))
+class TestLatticeValues:
+    """ode.lattice_values: node values interpolated on a lattice of sub points per step."""
 
-    def test_vectorised_form_rejects_out_of_range(self):
-        grid = TimeGrid(np.linspace(0.0, 1.0, 5), np.ones((5, 1, 1)))
-        with pytest.raises(ValueError, match=r"t = 1\.1 outside"):
-            sample_grid_at(grid, [0.5, 1.1, -0.1])
+    @staticmethod
+    def _values(steps, seed=1):
+        return np.random.default_rng(seed).standard_normal((steps + 1, 3, 2))
+
+    @pytest.mark.parametrize("steps, sub", [(1, 1), (1, 2), (40, 2), (40, 4), (37, 8)])
+    def test_nodes_returned_bitwise(self, steps, sub):
+        values = self._values(steps)
+        table = lattice_values(values, sub, 0, steps * sub + 1)
+        assert table.shape == (steps * sub + 1, 3, 2)
+        assert np.array_equal(table[::sub], values)
+
+    @pytest.mark.parametrize("sub", [1, 2, 4])
+    def test_block_equals_slice_of_whole_lattice(self, sub):
+        steps = 37
+        values = self._values(steps, seed=2)
+        whole = lattice_values(values, sub, 0, steps * sub + 1)
+        rng = np.random.default_rng(3)
+        blocks = [(0, 1), (0, steps * sub + 1), (steps * sub, steps * sub + 1), (5, 5)]
+        blocks += [tuple(sorted(rng.integers(0, steps * sub + 2, 2))) for _ in range(20)]
+        for lo, hi in blocks:
+            assert np.array_equal(lattice_values(values, sub, lo, hi), whole[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("t0, t1, steps, sub", [
+        (0.0, 4.0, 16, 4), (0.0, 5.0, 40, 2), (0.3, 2.9, 7, 4), (0.0, 5.0, 10_000, 2),
+        (-1.0, 3.0, 13, 8),
+    ])
+    def test_agrees_with_sample_grid(self, t0, t1, steps, sub):
+        # sample_grid takes its weight from rounded times, off by up to about
+        # eps |t| / h, so the node values sample a smooth function, as gain
+        # schedules do: the error then stays near eps |t| |v'| whatever h is.
+        rng = np.random.default_rng(4)
+        rate, phase = rng.uniform(-2.0, 2.0, (2, 3, 2))
+        times = node_times(t0, t1, steps)
+        values = np.sin(times[:, None, None] * rate + phase)
+        grid = TimeGrid(times, values)
+        points = np.arange(steps * sub + 1)
+        if points.size > 2000:
+            points = np.unique(np.r_[points[:200], points[-200:], rng.choice(points, 1000)])
+        h = (t1 - t0) / steps
+        table = lattice_values(values, sub, 0, steps * sub + 1)
+        scale = 1.0 + np.max(np.abs(values))
+        for j in points:
+            t = min(t0 + j * (h / sub), t1)
+            assert np.max(np.abs(table[j] - sample_grid(grid, t))) <= 1e-15 * scale, j
 
 
 class TestExpmMinusIdentity:
