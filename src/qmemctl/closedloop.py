@@ -25,13 +25,18 @@ on the border, and keeps the corner exactly 1.
 RK4 evaluates that right-hand side only at the nodes and midpoints of the
 shared grid (the half-step lattice of ode.rk4_stage_times), so a and f are
 tabulated there: K and c from ode.lattice_values with 2 points per step
-(a midpoint weighs its two nodes by exactly 1/2), then sA + sE c and
-K G K' by stacked matmuls.  The tables cover one block of _BLOCK_STEPS steps
-at a time, refilled in one preallocated pair of buffers when the stage index
-leaves the block; RK4 visits the lattice in increasing order, so every entry
-is computed exactly once and the tables hold at most
-2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step count.
-sample_grid is not called.
+(a midpoint weighs its two nodes by exactly 1/2), then sA + sE c and the
+symmetrized K G K' by stacked matmuls.  The tables cover one block of
+_BLOCK_STEPS steps at a time, refilled in one preallocated pair of buffers
+before the block is stepped, so they hold at most
+2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step count.  Step k
+of a block reads table rows 2k, 2k + 1 and 2k + 2 directly.
+
+Each stage is one matmul: W = a Y, then W + W' + f, which is exactly
+symmetric, so every stage and every new Z is too and no step needs
+symmetrizing.  The stages are computed in preallocated buffers in the order
+of the generic RK4 loop ode.integrate_matrix_ode, and finiteness is checked
+once per block.  sample_grid is not called.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControlRiccati
-from .errors import GridMismatchError
-from .ode import congruence, integrate_matrix_ode, lattice_values
-from .ode import sample_grid  # noqa: F401  (perfbench traces closedloop.sample_grid)
+from .errors import DivergenceError, GridMismatchError
+from .ode import congruence, lattice_values, node_times
+# perfbench traces closedloop.integrate_matrix_ode and closedloop.sample_grid.
+from .ode import integrate_matrix_ode, sample_grid  # noqa: F401
 
 # Steps per block of the coefficient tables: their nodes and midpoints,
 # 2 _BLOCK_STEPS + 1 lattice points, are tabulated at once.
@@ -77,9 +83,16 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """a X + X a' + f (works on stacked inputs)."""
-    return a @ x + x @ a.swapaxes(-2, -1) + f
+def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray, out=None, work=None):
+    """W + W' + f with W = a X: a X + X a' + f for symmetric X (works on stacked inputs).
+
+    For symmetric f the result is exactly symmetric.  `work` receives W and
+    `out` the result when given.
+    """
+    w = np.matmul(a, x, out=work)
+    out = np.add(w, w.swapaxes(-2, -1), out=out)
+    out += f
+    return out
 
 
 def _forcing_pairing(q: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -88,14 +101,80 @@ def _forcing_pairing(q: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _closed_loop_coefficients(c_t: np.ndarray, K_t: np.ndarray, sys):
-    """(sA + sE c, K G K') for the gains c and K (works on stacked inputs)."""
-    return sys.sA + sys.sE @ c_t, congruence(K_t, sys.G)
+    """(sA + sE c, K G K') for the gains c and K (works on stacked inputs).
+
+    K G K' is symmetrized, so the Lyapunov right-hand side built from it is
+    exactly symmetric.
+    """
+    kgk = congruence(K_t, sys.G)
+    return sys.sA + sys.sE @ c_t, 0.5 * (kgk + kgk.swapaxes(-2, -1))
 
 
 def moment_rhs(T: np.ndarray, c_t: np.ndarray, K_t: np.ndarray, sys) -> np.ndarray:
-    """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K' (works on stacked inputs)."""
+    """Lyapunov right-hand side (sA + sE c) T + T (.)' + K G K' for symmetric T
+    (works on stacked inputs)."""
     a_cl, kgk = _closed_loop_coefficients(c_t, K_t, sys)
     return _lyapunov_rhs(a_cl, T, kgk)
+
+
+def _step_bordered(bordered: np.ndarray, c_values: np.ndarray, k_values: np.ndarray,
+                   sys, tau: float) -> None:
+    """RK4 over [0, tau] of Z' = a Z + Z a' + f, in place from bordered[0].
+
+    a and f are tabulated at the nodes and midpoints of one block of
+    _BLOCK_STEPS steps at a time; step k reads lattice points 2k, 2k + 1
+    and 2k + 2 of the block.  Raises DivergenceError naming the first
+    non-finite step and its time.
+    """
+    steps = len(bordered) - 1
+    dim = bordered.shape[-1] - 1
+    h = tau / steps
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    # The border rows and columns of a and f stay zero; each refill writes
+    # only the top-left blocks.
+    a_table = np.zeros((min(2 * _BLOCK_STEPS, 2 * steps) + 1, dim + 1, dim + 1))
+    f_table = np.zeros_like(a_table)
+    work, probe, k1, k2, k3, k4 = np.empty((6,) + bordered.shape[1:])
+    # A diverging state overflows on its way to inf/nan; the finiteness check
+    # below reports it as DivergenceError, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, steps, _BLOCK_STEPS):
+            last = min(first + _BLOCK_STEPS, steps)
+            points = 2 * (last - first) + 1
+            a_cl, kgk = _closed_loop_coefficients(
+                lattice_values(c_values, 2, 2 * first, 2 * last + 1),
+                lattice_values(k_values, 2, 2 * first, 2 * last + 1), sys,
+            )
+            a_table[:points, :dim, :dim] = a_cl
+            f_table[:points, :dim, :dim] = kgk
+            for k in range(first, last):
+                z = bordered[k]
+                j = 2 * (k - first)
+                _lyapunov_rhs(a_table[j], z, f_table[j], k1, work)
+                np.multiply(k1, half_h, out=probe)
+                probe += z
+                _lyapunov_rhs(a_table[j + 1], probe, f_table[j + 1], k2, work)
+                np.multiply(k2, half_h, out=probe)
+                probe += z
+                _lyapunov_rhs(a_table[j + 1], probe, f_table[j + 1], k3, work)
+                np.multiply(k3, h, out=probe)
+                probe += z
+                _lyapunov_rhs(a_table[j + 2], probe, f_table[j + 2], k4, work)
+                # z + h/6 (k1 + 2 (k2 + k3) + k4), in the order of ode's RK4 loop.
+                k2 += k3
+                k2 *= 2.0
+                k2 += k1
+                k2 += k4
+                k2 *= sixth_h
+                np.add(z, k2, out=bordered[k + 1])
+            finite = np.isfinite(bordered[first + 1:last + 1]).all(axis=(1, 2))
+            if not finite.all():
+                bad = first + 1 + int(np.argmin(finite))
+                raise DivergenceError(
+                    f"non-finite state at step {bad} of {steps} "
+                    f"(t = {node_times(0.0, tau, steps)[bad]:.6g})"
+                )
 
 
 def solve_closed_loop(
@@ -119,10 +198,11 @@ def solve_closed_loop(
     lattice index 2k, the midpoint of step k at 2k + 1), one block of
     _BLOCK_STEPS steps at a time, with K and c from
     ode.lattice_values(values, 2, lo, hi): node values at the nodes, the two
-    neighbouring nodes weighed by exactly 1/2 at a midpoint.  The right-hand side
-    looks them up by lattice index, and no sample_grid call is made.  T and
-    x_mean are returned as owned, C-contiguous copies of the bordered grid's
-    blocks.
+    neighbouring nodes weighed by exactly 1/2 at a midpoint.  Each step
+    reads its three table rows by index, and no sample_grid call is made.
+    T and x_mean are returned as owned, C-contiguous copies of the bordered
+    grid's blocks.  Raises DivergenceError naming the first step whose
+    state is not finite.
     """
     if not np.array_equal(filter_sol.times, control_sol.times):
         raise GridMismatchError("filter and control solutions use different grids")
@@ -138,37 +218,10 @@ def solve_closed_loop(
             f"gain override shape {c_values.shape} != {control_sol.c.shape}"
         )
     dim = 2 * mean0.size
-    points = 2 * steps + 1
-    block_size = min(2 * _BLOCK_STEPS + 1, points)
-    # The border rows and columns of a and f stay zero; each refill writes
-    # only the top-left blocks.
-    a_table = np.zeros((block_size, dim + 1, dim + 1))
-    f_table = np.zeros_like(a_table)
-    block_start = -block_size  # no block loaded yet
-    # The stage times are nonnegative multiples of h/2 = tau / (2 steps) up
-    # to round-off far below half a lattice spacing, so rounding (int(x + 0.5))
-    # recovers the index.
-    per_half_step = 2.0 * steps / tau
-
-    def rhs(t, state):
-        nonlocal block_start
-        j = int(t * per_half_step + 0.5) - block_start
-        if not 0 <= j < block_size:
-            block_start += j
-            block_end = min(block_start + block_size, points)
-            a_cl, kgk = _closed_loop_coefficients(
-                lattice_values(c_values, 2, block_start, block_end),
-                lattice_values(filter_sol.K, 2, block_start, block_end), sys,
-            )
-            a_table[:block_end - block_start, :dim, :dim] = a_cl
-            f_table[:block_end - block_start, :dim, :dim] = kgk
-            j = 0
-        return _lyapunov_rhs(a_table[j], state, f_table[j])
-
     z0 = np.concatenate([mean0, mean0, [1.0]])
-    bordered = integrate_matrix_ode(
-        rhs, np.outer(z0, z0), 0.0, tau, steps, symmetrize=True
-    ).values
+    bordered = np.empty((steps + 1, dim + 1, dim + 1))
+    bordered[0] = np.outer(z0, z0)
+    _step_bordered(bordered, c_values, filter_sol.K, sys, tau)
     # Owned, C-contiguous copies: a strided view of T would send the einsums
     # below down other summation paths, changing their last bits.
     moments = bordered[:, :dim, :dim].copy()

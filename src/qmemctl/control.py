@@ -2,7 +2,7 @@
 
 The same two-solver design as the filtering module.  `solve_control` steps
 the full 2n x 2n Riccati equation dQ/dt = Q sE Pi^-1 sE' Q - sA' Q - Q sA
-backward from Q(tau) = Lambda with the exact Moebius step of
+backward from Q(tau) = Lambda with the exact, blocked Moebius solve of
 `ode.mobius_riccati`: in reversed time s = tau - t it reads
 dQ/ds = alpha Q + Q alpha' + beta - Q gamma Q with alpha = sA', beta = 0
 and gamma = sE Pi^-1 sE'.  Q2 is the bottom-left block, so
@@ -91,7 +91,7 @@ def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolutio
     One Moebius pass steps the full Q exactly from Q(tau) = Lambda, and the
     blocks Q1, Q2, Q3 are views into it.  The terminal node is assigned,
     not stepped, so Q1(tau) = Sigma, Q2(tau) = -Sigma, Q3(tau) = Sigma hold
-    exactly.  Q is symmetrized after every step; positive semidefiniteness
+    exactly.  Q is symmetrized at every node; positive semidefiniteness
     is monitored and reported as a warning only.  Raises DivergenceError if
     a step fails.
     """

@@ -8,7 +8,7 @@ obeys the full 2n x 2n Riccati equation
 
 with alpha = sA - sB D' G^-1 sC, beta = sB (I - D' G^-1 D) sB' and
 gamma = sC' G^-1 sC.  `solve_filter` steps it exactly on the grid with the
-Moebius step of `ode.mobius_riccati`, and its blocks P1, P2, P3
+blocked Moebius solve of `ode.mobius_riccati`, and its blocks P1, P2, P3
 (P = [[P1, P2], [P2', P3]]) are slices of that solution.  The block cascade
 
     dP1/dt = -P2 C' G^-1 C P2'
@@ -122,7 +122,7 @@ def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolutio
 
     One Moebius pass steps the full covariance exactly from the tiled
     initial covariance, and the blocks P1, P2, P3 are views into it.  P is
-    symmetrized after every step.  The gain schedule K(t) is stored at every
+    symmetrized at every node.  The gain schedule K(t) is stored at every
     node.  A warning (never an error) is emitted if the covariance dips
     below PSD tolerance anywhere.  Raises DivergenceError if a step fails.
     """

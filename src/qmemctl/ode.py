@@ -6,14 +6,17 @@ Two steppers share the uniform grid of `node_times`:
   (or generally ndarray-valued) states, forward or backward in time.
   Backward solves reuse the forward stepper through the substitution
   t -> t0 + t1 - t with a negated right-hand side, and grids are always
-  stored ascending in time.  The closed-loop moments and the reference
-  block cascades of the Riccati equations run on it.
+  stored ascending in time.  The reference block cascades of the Riccati
+  equations run on it; the closed-loop moments take the same RK4 stages in
+  their own in-place loop (`closedloop`).
 * `mobius_riccati`: the constant-coefficient Riccati equation
   dP/dt = alpha P + P alpha' + beta - P gamma P, stepped exactly on the
-  grid.  With Phi = expm(M h) for the Hamiltonian matrix
-  M = [[-alpha', gamma], [beta, alpha]], one step is the Moebius map
+  grid.  With Phi(s) = expm(M s) for the Hamiltonian matrix
+  M = [[-alpha', gamma], [beta, alpha]], the flow over s is the Moebius map
   P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1 (Davison & Maki, IEEE TAC
-  1973), exact up to round-off for any h.  `expm_minus_identity` is a
+  1973), exact up to round-off for any s.  The grid is stepped a block of
+  nodes at a time: one batched solve takes a block's first node to each of
+  its next B nodes through Phi(h)..Phi(B h).  `expm_minus_identity` is a
   numpy Pade-13 scaling-and-squaring exponential (Higham, SIAM J. Matrix
   Anal. Appl. 2005).  The filter and control Riccati solves of the
   pipeline use it.
@@ -22,7 +25,7 @@ A fixed uniform grid (rather than adaptive stepping) keeps the filter,
 control and moment solutions on shared nodes so gain schedules never have
 to be resampled against each other.
 
-The RK4 loop evaluates the right-hand side on the half-step lattice of
+RK4 evaluates the right-hand side on the half-step lattice of
 `rk4_stage_times`: node k at index 2k and the midpoint of step k at index
 2k + 1.  `lattice_values` is the one rule for values between grid nodes: it
 interpolates node values at a block of points of a lattice with any number
@@ -54,6 +57,9 @@ PSD_WARN_TOL = -1e-8
 # A Moebius step solves with X = Phi11 + Phi12 P; beyond this 1-norm condition
 # number the solve keeps fewer than about half of the double-precision digits.
 MOBIUS_COND_LIMIT = 1e8
+
+# Most nodes mobius_riccati reaches from one node in one batched solve.
+_MOBIUS_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -243,12 +249,16 @@ def mobius_riccati(
 ) -> TimeGrid:
     """Solve dP/dt = alpha P + P alpha' + beta - P gamma P exactly on the grid.
 
-    With Phi = expm(M h), M = [[-alpha', gamma], [beta, alpha]], each step
-    maps P to (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1, which is the exact flow
-    over h of the constant-coefficient equation (Davison & Maki 1973).
-    Each step restarts from the previous node's P, never from a
-    long-horizon Phi(t), whose blocks grow without bound (Kenney & Leipnik
-    1985).  P is symmetrized after every step.
+    With Phi(s) = expm(M s), M = [[-alpha', gamma], [beta, alpha]], the map
+    P -> (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1 is the exact flow over s of
+    the constant-coefficient equation (Davison & Maki 1973).  The grid is
+    stepped a block of B nodes at a time: each block restarts from its first
+    node P_k and reaches P_{k+1}..P_{k+B} through Phi(h)..Phi(B h) in one
+    batched solve, never from a long-horizon Phi(t), whose blocks grow
+    without bound (Kenney & Leipnik 1985).  B = min(64, steps,
+    floor(0.25 / (|M|_1 h))), at least 1, so no block spans more than
+    |M h B|_1 <= 1/4 and Phi stays close to the identity over it; longer
+    spans lose accuracy on scenarios with large |M|.  Every P is symmetrized.
 
     Parameters
     ----------
@@ -269,49 +279,64 @@ def mobius_riccati(
     ValueError
         If steps < 1, t1 <= t0 or the direction is unknown.
     DivergenceError
-        If a state stops being finite, or a step's Phi11 + Phi12 P is
+        If a state stops being finite, or a node's Phi11 + Phi12 P is
         singular or has condition number above MOBIUS_COND_LIMIT, naming
-        the step and time.
+        the step and time.  A block whose batched solve fails is stepped
+        again one node at a time, so the step named is the one a per-node
+        solve names.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     times = node_times(t0, t1, steps)
     clock = times if direction == "forward" else (t0 + t1) - times
-    state = np.array(init, dtype=float)
-    n = state.shape[-1]
+    n = np.shape(init)[-1]
     h = (t1 - t0) / steps
-    e = expm_minus_identity(np.block([[-alpha.T, gamma], [beta, alpha]]) * h)
-    # The step in increment form, transposed: with E = Phi - I,
-    # X' = I + E11' + P E12' and P_next' = P + X'^-1 (E21' + P E22' - (X' - I) P),
-    # so a short step adds a small increment to P instead of rebuilding it.
-    e_head = np.concatenate([e[:n, :n].T, e[n:, :n].T], axis=1)
-    e_tail = np.concatenate([e[:n, n:].T, e[n:, n:].T], axis=1)
+    m = np.block([[-alpha.T, gamma], [beta, alpha]])
+    block = min(_MOBIUS_BLOCK, steps)
+    reach = np.linalg.norm(m, 1) * h
+    if reach * block > 0.25:
+        block = max(1, int(0.25 / reach))
+    e = np.stack([expm_minus_identity(m * (j * h)) for j in range(1, block + 1)])
+    # The span of j steps from P, in increment form, transposed: with
+    # E_j = Phi(j h) - I, X_j' = I + E11' + P E12' and
+    # P_j' = P + X_j'^-1 (E21' + P E22' - (X_j' - I) P), so a short span adds a
+    # small increment to P instead of rebuilding it.
+    e_head = np.concatenate([e[:, :n, :n], e[:, n:, :n]], axis=1).swapaxes(1, 2)
+    e_tail = np.concatenate([e[:, :n, n:], e[:, n:, n:]], axis=1).swapaxes(1, 2)
     ident = np.eye(n)
     values = np.empty((steps + 1, n, n))
-    values[0] = state
-    x_minus_i = np.empty((steps, n, n))  # X' - I of every step, for the condition guard
+    values[0] = init
+    x_minus_i = np.empty((steps, n, n))  # X' - I of every node, for the condition guard
 
     def fail(k, reason):
         return DivergenceError(
             f"{what}: {reason} at step {k + 1} of {steps} (t = {clock[k + 1]:.6g})"
         )
 
+    def step(k, size):
+        """Nodes k+1..k+size from node k; the reason it failed, or None."""
+        state, x_mi, nodes = values[k], x_minus_i[k:k + size], values[k + 1:k + size + 1]
+        rows = e_head[:size] + state @ e_tail[:size]  # [X_j' - I, Y_j' - P]
+        x_mi[...] = rows[:, :, :n]
+        try:
+            # X_j' (P_j - P)' = Y_j' - X_j' P, and P_j is symmetric.
+            new = state + np.linalg.solve(x_mi + ident, rows[:, :, n:] - x_mi @ state)
+        except np.linalg.LinAlgError:
+            return "singular Phi11 + Phi12 P"
+        nodes[...] = 0.5 * (new + new.swapaxes(1, 2))
+        return None if np.isfinite(nodes).all() else "non-finite state"
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            rows = e_head + state @ e_tail  # [X' - I, Y' - P]
-            x_minus_i[k] = rows[:, :n]
-            try:
-                # X' (P_next - P)' = Y' - X' P, and P_next is symmetric.
-                state = state + np.linalg.solve(x_minus_i[k] + ident,
-                                                rows[:, n:] - x_minus_i[k] @ state)
-            except np.linalg.LinAlgError:
-                raise fail(k, "singular Phi11 + Phi12 P") from None
-            state = 0.5 * (state + state.T)
-            if not np.isfinite(state).all():
-                raise fail(k, "non-finite state")
-            values[k + 1] = state
+        for k in range(0, steps, block):
+            size = min(block, steps - k)
+            if step(k, size) is None:
+                continue
+            for j in range(k, k + size):
+                reason = step(j, 1)
+                if reason is not None:
+                    raise fail(j, reason)
     # A 1-norm d = |X' - I| < 1 bounds cond(X') by (1 + d) / (1 - d) (Neumann
-    # series), so only steps with d >= 1/2 have their condition number computed.
+    # series), so only nodes with d >= 1/2 have their condition number computed.
     far = np.nonzero(~(np.linalg.norm(x_minus_i, 1, axis=(1, 2)) < 0.5))[0]
     cond = np.linalg.cond(x_minus_i[far] + ident, 1)
     bad = np.nonzero(~(cond <= MOBIUS_COND_LIMIT))[0]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import n8_spec
 from qmemctl import (
     ControlRiccati,
+    DivergenceError,
     GridMismatchError,
     bellman_value,
     closedloop,
@@ -18,7 +20,7 @@ from qmemctl import (
     solve_control,
     solve_filter,
 )
-from qmemctl.closedloop import _cumtrapz
+from qmemctl.closedloop import _closed_loop_coefficients, _cumtrapz, _lyapunov_rhs
 from qmemctl.model import ScenarioSpec
 from qmemctl.ode import TimeGrid, congruence, integrate_matrix_ode, sample_grid
 
@@ -74,10 +76,11 @@ def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None
                                rule=_lattice_rule):
     """T, x_mean, Phi, Delta and H_pont with K and c interpolated at every RK4 stage.
 
-    Each stage takes its gains from `rule(times)` and builds the bordered
+    Each stage takes its gains from `rule(times)`, builds the bordered
     coefficients a = blockdiag(sA + sE c, 0) and f = blockdiag(K G K', 0)
-    for the state [[T, x], [x', 1]].  With the default lattice rule this is
-    the reference the tabulated coefficients must reproduce bitwise.
+    for the state [[T, x], [x', 1]] and evaluates the library's one
+    Lyapunov stage.  With the default lattice rule this is the reference the
+    tabulated coefficients and the in-place stepper must reproduce bitwise.
     """
     times = filt.times
     steps = len(times) - 1
@@ -89,9 +92,9 @@ def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None
     def rhs(t, state):
         a = np.zeros((dim + 1, dim + 1))
         f = np.zeros((dim + 1, dim + 1))
-        a[:dim, :dim] = sys_m.sA + sys_m.sE @ gain_at(c_values, t)
-        f[:dim, :dim] = congruence(gain_at(filt.K, t), sys_m.G)
-        return a @ state + state @ a.T + f
+        a[:dim, :dim], f[:dim, :dim] = _closed_loop_coefficients(
+            gain_at(c_values, t), gain_at(filt.K, t), sys_m)
+        return _lyapunov_rhs(a, state, f)
 
     z0 = np.concatenate([mean0, mean0, [1.0]])
     bordered = integrate_matrix_ode(rhs, np.outer(z0, z0), 0.0, tau, steps,
@@ -208,6 +211,26 @@ class TestGainTables:
                                    ref_spec.tau)
         assert np.array_equal(closed.T, ref_closed.T)
         assert np.array_equal(closed.x_mean, ref_closed.x_mean)
+
+
+class TestDivergence:
+    def test_overflow_names_first_non_finite_step(self):
+        # A constant gain of 200 makes sA + sE c unstable enough that Z
+        # overflows at step 711, inside the third block of 256 steps.
+        spec = _spec(steps=2000)
+        sys_m, filt, ctrl, _ = _pipeline(spec)
+        override = np.full_like(ctrl.c, 200.0)
+        with pytest.raises(DivergenceError) as per_stage:
+            _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                       gain_override=override)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                  gain_override=override)
+        assert str(err.value) == "non-finite state at step 711 of 2000 (t = 1.7775)"
+        assert str(err.value) == str(per_stage.value)
+        assert (711 - 1) % closedloop._BLOCK_STEPS != 0
 
 
 class TestBorderedMean:

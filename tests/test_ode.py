@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from qmemctl import (
     hamiltonian_matrix,
     integrate_matrix_ode,
     sample_grid,
+    solve_control,
+    solve_filter,
 )
 from qmemctl import ode
 from qmemctl.ode import lattice_values, mobius_riccati, node_times, rk4_stage_times
@@ -278,6 +281,49 @@ def _riccati_case(seed, n=3):
     return alpha, b @ b.T, c @ c.T, p @ p.T
 
 
+def _escape_case(p0, steps):
+    """dP/dt = P^2 on the first diagonal entry from diag(p0, 0) over [0, 2].
+
+    The entry escapes at t = 1 / p0; X = Phi11 + Phi12 P is 1 - s P on it, so
+    it vanishes there.  |M|_1 = 1, so a block spans floor(0.25 / h) nodes.
+    """
+    eye = np.eye(2)
+    return (0 * eye, 0 * eye, -eye, np.diag([p0, 0.0]), 0.0, 2.0, steps)
+
+
+def _overflow_case():
+    """dp/dt = 2p from 1e307 over [0, 2] in 200 steps: P + P' overflows near t = 1.098."""
+    zero = np.zeros((1, 1))
+    return (np.ones((1, 1)), zero, zero, np.array([[1e307]]), 0.0, 2.0, 200)
+
+
+def _block_length(case):
+    """Nodes per batched solve: min(64, steps, floor(0.25 / (|M|_1 h))), at least 1."""
+    alpha, beta, gamma, _, t0, t1, steps = case
+    reach = np.linalg.norm(np.block([[-alpha.T, gamma], [beta, alpha]]), 1) * (t1 - t0) / steps
+    return max(1, min(ode._MOBIUS_BLOCK, steps, int(0.25 / reach)))
+
+
+def _divergence_message(case, monkeypatch, block):
+    monkeypatch.setattr(ode, "_MOBIUS_BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            mobius_riccati(*case)
+    return str(err.value)
+
+
+def _singular_case():
+    """`_escape_case` with p0 = -1 / E12, E = expm(2 h M) - I.
+
+    The X that reaches node 2 from P0 in one span, 1 + p0 E12, is exactly
+    zero, and so is the X of step 2 when stepping one node at a time.
+    """
+    alpha, beta, gamma, *_ = _escape_case(1.0, 100)
+    m = np.block([[-alpha.T, gamma], [beta, alpha]])
+    return _escape_case(-1.0 / ode.expm_minus_identity(m * (2 * 0.02))[0, 2], 100)
+
+
 class TestMobiusRiccati:
     def test_matches_fine_rk4(self):
         alpha, beta, gamma, p0 = _riccati_case(1)
@@ -344,3 +390,37 @@ class TestMobiusRiccati:
             with pytest.raises(DivergenceError) as err:
                 mobius_riccati(np.ones((1, 1)), zero, zero, np.array([[1e308]]), 0.0, 1.0, 1)
         assert str(err.value) == "Riccati solution: non-finite state at step 1 of 1 (t = 1)"
+
+
+    @pytest.mark.parametrize("case, step, expected", [
+        (_singular_case(), 2, r"singular Phi11 \+ Phi12 P at step 2 of 100 \(t = 0.04\)$"),
+        (_overflow_case(), 110, r"non-finite state at step 110 of 200 \(t = 1.1\)$"),
+        (_escape_case(1.0, 100), 50,
+         r"cond\(Phi11 \+ Phi12 P\) = .* at step 50 of 100 \(t = 1\)$"),
+    ], ids=["singular", "non_finite", "ill_conditioned"])
+    def test_divergence_inside_a_block_named_exactly(self, monkeypatch, case, step, expected):
+        # Blocked and per-node stepping name the same step and time, and the
+        # failing node is not the first of its block.
+        block = _block_length(case)
+        assert block > 1 and (step - 1) % block != 0
+        blocked = _divergence_message(case, monkeypatch, block)
+        per_node = _divergence_message(case, monkeypatch, 1)
+        assert re.search(expected, blocked) and re.search(expected, per_node)
+        if step != 50:  # X over a longer span has another condition number
+            assert blocked == per_node
+
+    @pytest.mark.parametrize("steps", [2000, 10000])
+    @pytest.mark.parametrize("spec", [reference_spec, lambda steps: n8_spec(1, steps)],
+                             ids=["reference", "n8"])
+    def test_blocked_matches_per_node_solve(self, monkeypatch, spec, steps):
+        spec = spec(steps)
+        sys_m = derive_system_matrices(spec)
+
+        def solve():
+            return (solve_filter(sys_m, spec.cov0, spec.tau, steps).P_full,
+                    solve_control(sys_m, spec.Pi, spec.tau, steps).Q_full)
+
+        blocked = solve()
+        monkeypatch.setattr(ode, "_MOBIUS_BLOCK", 1)
+        for a, b in zip(blocked, solve()):
+            assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(b)))
