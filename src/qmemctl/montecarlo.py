@@ -28,13 +28,15 @@ fixed within each substep, so the substeps of one grid interval fold into
 one map per node (_node_operators): every path advances a whole node with
 two matrix products, which also yield the substeps' control-energy terms.
 Each path owns a generator seeded by base_seed XOR splitmix64(index) and
-writes its draws into its own row, in windows of whole node intervals; the
-maps of a window are folded when it is drawn, so memory is bounded by
-_NOISE_BUDGET whatever the grid length.  Only that per-path drawing is
-threaded: contiguous path-index ranges are filled by one thread per
-available CPU, since numpy's generators release the GIL while filling.
-Which thread fills a row cannot change the row, and the propagation and the
-moment sums that follow run in one thread over whole arrays, so every
+draws its noise in windows of whole node intervals; the maps of a window
+are folded when it is drawn, so memory is bounded by _NOISE_BUDGET whatever
+the grid length.  A window is laid out node-major, (nodes, paths, draws),
+so that the noise product of each node reads one contiguous block instead
+of one short piece per path at a window-row stride.  Only the per-path
+drawing is threaded: contiguous path-index ranges are filled by one thread
+per available CPU, since numpy's generators release the GIL while filling.
+Which thread draws a path cannot change its draws, and the propagation and
+the moment sums that follow run in one thread over whole arrays, so every
 output is bit-identical whatever the thread count.  Moments are
 accumulated only at the requested grid nodes (see checkpoint_nodes); the
 state is checked for finiteness at every node.  The oracle returns ensemble
@@ -58,10 +60,17 @@ from .ode import lattice_values
 _MASK64 = (1 << 64) - 1
 
 # Noise is drawn, and the node maps folded, in windows of whole node
-# intervals that hold at most this many doubles of noise and maps together,
-# unless one interval alone is larger; this bounds peak memory without
-# changing any per-path stream or any bit of the maps.
+# intervals that hold at most this many doubles of noise, drawing scratch
+# and maps together, unless one interval alone is larger; this bounds peak
+# memory without changing any per-path stream or any bit of the maps.  The
+# noise is stored node-major, so each node's product reads one contiguous
+# (paths, draws) block.
 _NOISE_BUDGET = 1 << 24
+
+# Paths a drawing thread draws into its scratch before it writes them into
+# the node-major window with one transposing assignment, while the scratch
+# is still in cache.
+_CHUNK = 64
 
 
 def splitmix64(value: int) -> int:
@@ -80,8 +89,11 @@ def checkpoint_nodes(steps: int, checkpoints: int) -> np.ndarray:
     """Indices of `checkpoints` evenly spaced nodes of a `steps`-step grid.
 
     The first and last nodes are always included; rounding may merge
-    neighbours on a coarse grid, so fewer indices can come back.
+    neighbours on a coarse grid, so fewer indices can come back.  Fewer than
+    two checkpoints cannot hold both ends and raise ValueError.
     """
+    if checkpoints < 2:
+        raise ValueError(f"checkpoints must be >= 2 (first and last node), got {checkpoints}")
     return np.unique(np.round(np.linspace(0, steps, checkpoints)).astype(int))
 
 
@@ -92,18 +104,28 @@ def _worker_count(paths: int) -> int:
 
 
 def _draw_normals(rngs, out: np.ndarray, workers: int) -> None:
-    """Fill out[i] with standard normals from rngs[i], for every path i.
+    """Fill the node-major window out (width, paths, draws) from rngs.
 
-    Contiguous path-index ranges go to `workers` threads (the calling thread
-    takes the first).  Each row is drawn from its own generator alone, so the
-    result does not depend on `workers`.
+    Path i draws width * draws normals from rngs[i] alone, and out[k, i] is
+    their k-th run of `draws`: node k's noise of every path is one
+    C-contiguous (paths, draws) block.  Contiguous path-index ranges go to
+    `workers` threads (the calling thread takes the first).  Each thread
+    draws _CHUNK paths at a time into its own scratch, one standard_normal
+    call per path, and writes them into `out` with one transposing
+    assignment.  No draw depends on `workers`.
     """
+    width, _, draws = out.shape
     errors: list[BaseException] = []
 
     def fill(lo: int, hi: int) -> None:
         try:
-            for i in range(lo, hi):
-                rngs[i].standard_normal(out=out[i])
+            scratch = np.empty((min(_CHUNK, hi - lo), width * draws))
+            for start in range(lo, hi, _CHUNK):
+                rows = scratch[:min(_CHUNK, hi - start)]
+                for i, row in enumerate(rows, start):
+                    rngs[i].standard_normal(out=row)
+                out[:, start:start + len(rows)] = (
+                    rows.reshape(len(rows), width, draws).swapaxes(0, 1))
         except BaseException as exc:  # re-raised below, once every thread is done
             errors.append(exc)
 
@@ -295,9 +317,10 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     U = c x, rewritten for e.  sX = e + x is rebuilt only at the accumulated
     nodes (`nodes`, default every node), with its initial copy taken from
     the held X0 so that it stays bitwise frozen; the finiteness check runs at
-    every node.  The noise of each path is drawn into its own row (threaded
-    by path range, see _draw_normals), in windows of whole node intervals
-    that reuse one buffer, and each window's maps are folded as it is drawn,
+    every node.  The noise is drawn (threaded by path range, see
+    _draw_normals) in windows of whole node intervals that reuse one buffer,
+    laid out node-major so that each node's product reads one contiguous
+    (paths, draws) block, and each window's maps are folded as it is drawn,
     with the substep h of the whole grid and sqrt(Pi) computed once here;
     everything after the drawing runs on whole arrays in one thread, so
     results depend only on (seeds, substeps) and are bit-reproducible,
@@ -323,9 +346,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     rngs = [np.random.default_rng(int(s)) for s in seeds]
     workers = _worker_count(count)
 
-    zeta = np.empty((count, n))
+    zeta = np.empty((1, count, n))  # a one-node window
     _draw_normals(rngs, zeta, workers)
-    spread0 = zeta @ cov0_factor.T
+    spread0 = zeta[0] @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
 
     kept = len(nodes)
@@ -378,20 +401,22 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
 
         squares = np.zeros((count, cols - dim), order="F")
         draws = sub * m
-        # Doubles per node of a window: every path's draws, the folded maps
-        # W_z and W_w, and, while they are folded, two products and one M_j.
-        per_node = count * draws + (dim + draws) * cols + 3 * dim * dim
+        # Doubles per node of a window: every path's draws, each drawing
+        # thread's scratch, the folded maps W_z and W_w, and, while they are
+        # folded, two products and one M_j.
+        per_node = ((count + workers * _CHUNK) * draws + (dim + draws) * cols
+                    + 3 * dim * dim)
         window = max(1, min(steps, _NOISE_BUDGET // per_node))
         buffer = np.empty(count * window * draws)
         q = 0
         while q < steps:
             width = min(window, steps - q)
-            noise = buffer[:count * width * draws].reshape(count, width * draws)
+            noise = buffer[:count * width * draws].reshape(width, count, draws)
             _draw_normals(rngs, noise, workers)
             w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q, q + width)
             for k in range(width):
                 np.matmul(state[:, :dim], w_z[k], out=ahead)
-                np.matmul(noise[:, k * draws:(k + 1) * draws], w_w[k], out=drive)
+                np.matmul(noise[k], w_w[k], out=drive)
                 np.add(ahead, drive, out=ahead)
                 state, ahead = ahead, state
                 terms = state[:, dim:]

@@ -439,7 +439,8 @@ class TestNodeOperators:
     # random draws cover d = 0, 1, 2 at each n; a budget of 0.5 is smaller
     # than one node interval, so each window still holds one; 3 intervals
     # over 100 steps leave a last window of one node.  A node interval's
-    # share of the budget is its noise for every path plus its operators.
+    # share of the budget is its noise for every path, each drawing
+    # thread's scratch and its operators.
     CASES = [
         (("random", 2, 2, 11), 1, None, None),      # d = 0
         (("random", 2, 2, 1), 8, 1, None),          # d = 1
@@ -463,7 +464,9 @@ class TestNodeOperators:
         width = spec.steps
         if budget is not None:
             dim, draws = 4 * spec.n, sub * spec.m
-            per_node = paths * draws + (dim + draws) * (dim + sub * spec.d) + 3 * dim * dim
+            scratch = montecarlo._worker_count(paths) * montecarlo._CHUNK
+            per_node = ((paths + scratch) * draws + (dim + draws) * (dim + sub * spec.d)
+                        + 3 * dim * dim)
             monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * per_node))
             width = max(1, int(budget))
         fold = montecarlo._node_operators
@@ -524,8 +527,9 @@ class TestThreadedNoise:
         nodes = checkpoint_nodes(500, 10)
 
         def serial_draw(rngs, out, workers):
+            width, _, draws = out.shape
             for i, rng in enumerate(rngs):
-                out[i] = rng.standard_normal(out.shape[1:])
+                out[:, i] = rng.standard_normal((width, draws))
 
         def simulate():
             return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=301,
@@ -550,14 +554,35 @@ class TestThreadedNoise:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads_before
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("paths", [2, 2 * montecarlo._CHUNK + 5, 3 * montecarlo._CHUNK + 1])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_window_is_node_major(self, workers, paths, width):
+        # Path ranges of up to 3 threads, each crossing chunk boundaries
+        # when it holds more than one chunk of paths.
+        draws = 3
+        seeds = [derive_path_seed(17, i) for i in range(paths)]
+        out = np.full((width, paths, draws), np.nan)
+        threads_before = threading.active_count()
+        montecarlo._draw_normals([np.random.default_rng(s) for s in seeds], out, workers)
+        assert threading.active_count() == threads_before
+        for i, seed in enumerate(seeds):
+            stream = np.random.default_rng(seed).standard_normal(width * draws)
+            for k in range(width):
+                assert np.array_equal(out[k, i], stream[k * draws:(k + 1) * draws]), (k, i)
+
     def test_worker_exception_reraised(self):
         class Broken:
             def standard_normal(self, out):
                 raise RuntimeError("generator failed")
 
-        rngs = [np.random.default_rng(i) for i in range(3)] + [Broken()]
+        paths = 2 * montecarlo._CHUNK + 5
+        rngs = [np.random.default_rng(i) for i in range(paths)]
+        rngs[paths // 2] = Broken()  # in the second of three path ranges
+        threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="generator failed"):
-            montecarlo._draw_normals(rngs, np.empty((4, 5)), 2)
+            montecarlo._draw_normals(rngs, np.empty((2, paths, 5)), 3)
+        assert threading.active_count() == threads_before
 
 
 class TestWeakConvergence:
@@ -618,6 +643,19 @@ class TestCrossMomentCheck:
         assert len(cross_moment_check(moments, closed, filt, 10).rows) == 10
         with pytest.raises(GridMismatchError, match="not accumulated"):
             cross_moment_check(moments, closed, filt, 5)
+
+    @pytest.mark.parametrize("checkpoints", [0, 1])
+    def test_fewer_than_two_checkpoints_rejected(self, mc_setup, checkpoints):
+        spec, sys_m, filt, ctrl, closed, gains = mc_setup
+        with pytest.raises(ValueError, match="checkpoints"):
+            checkpoint_nodes(500, checkpoints)
+        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
+                                    base_seed=1)
+        with pytest.raises(ValueError, match="checkpoints"):
+            cross_moment_check(moments, closed, filt, checkpoints)
+
+    def test_two_checkpoints_are_the_ends(self):
+        assert checkpoint_nodes(500, 2).tolist() == [0, 500]
 
     def test_grid_mismatch_rejected(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
