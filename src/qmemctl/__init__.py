@@ -40,7 +40,6 @@ from .model import (
     validate_spec,
 )
 from .montecarlo import (
-    CrossMomentReport,
     GainSchedule,
     SampleMoments,
     checkpoint_nodes,

@@ -64,25 +64,31 @@ def cost_identity(phi_tau: float, identity: float, tau: float, steps: int) -> di
     return {"cost_identity": _entry(residual, limit, residual <= limit)}
 
 
-def monte_carlo(moments, report, delta_ode: float) -> dict:
-    """The five gates on an ensemble (SampleMoments) and its CrossMomentReport.
+def monte_carlo(moments, rows, delta_ode: float) -> dict:
+    """The five gates on an ensemble (SampleMoments) and its checkpoint rows.
 
-    `delta_ode` is the pipeline's terminal deviation Delta(tau); the
-    ensemble's estimate of it must lie within Z_LIMIT standard errors.  The
-    sampled cost, its standard error and the control energy must be finite;
-    that gate's value names the statistics that are not.
+    `rows` are montecarlo.cross_moment_check's per-checkpoint measurements;
+    every verdict on them is made here.  All but one checkpoint must have an
+    x e' z-score within Z_LIMIT, every checkpoint's mean estimation error
+    must be, and the largest relative error of the sampled error covariance
+    must be within P_REL_LIMIT (np.max, so a NaN row fails).  `delta_ode` is
+    the pipeline's terminal deviation Delta(tau); the ensemble's estimate of
+    it must lie within Z_LIMIT standard errors.  The sampled cost, its
+    standard error and the control energy must be finite; that gate's value
+    names the statistics that are not.
     """
     delta_z = float(z_score(moments.deviation_mean - delta_ode, moments.deviation_se))
     not_finite = [name for name in ("cost_mean", "cost_se", "control_energy_mean")
                   if not math.isfinite(getattr(moments, name))]
-    p_rel = report.max_P_rel_err
-    mho_limit = len(report.rows) - 1
+    p_rel = float(np.max([row.P_rel_err for row in rows]))
+    mho_within = sum(row.mho_max_z <= Z_LIMIT for row in rows)
+    mho_limit = len(rows) - 1
+    e_within = all(row.e_mean_max_z <= Z_LIMIT for row in rows)
     return {
         "mc_delta_within_3se": _entry(delta_z, Z_LIMIT, delta_z <= Z_LIMIT),
         "mc_P_relative_error": _entry(p_rel, P_REL_LIMIT, p_rel <= P_REL_LIMIT),
-        "mc_mho_checkpoints": _entry(report.mho_within_3se, mho_limit,
-                                     report.mho_within_3se >= mho_limit),
-        "mc_e_mean": _entry(report.e_mean_within_3se, True, report.e_mean_within_3se),
+        "mc_mho_checkpoints": _entry(mho_within, mho_limit, mho_within >= mho_limit),
+        "mc_e_mean": _entry(e_within, True, e_within),
         "mc_cost_finite": _entry(not_finite, [], not not_finite),
     }
 

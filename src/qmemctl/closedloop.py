@@ -36,7 +36,7 @@ Each stage is one matmul: W = a Y, then W + W' + f, which is exactly
 symmetric, so every stage and every new Z is too and no step needs
 symmetrizing.  The stages are computed in preallocated buffers in the order
 of the generic RK4 loop ode.integrate_matrix_ode, and finiteness is checked
-once per block.  sample_grid is not called.
+once per block.
 """
 
 from __future__ import annotations
@@ -62,11 +62,9 @@ class ClosedLoopSolution:
 
     times: np.ndarray
     T: np.ndarray       # (N+1, 2n, 2n)
-    S: np.ndarray       # (N+1, 2n, 2n), S = T + P
     Delta: np.ndarray   # (N+1,) mean-square deviation
     Phi: np.ndarray     # (N+1,) running cost
     H_pont: np.ndarray  # (N+1,) Pontryagin Hamiltonian, dH/dt = <Q, d(KGK')/dt>
-    U_mean: np.ndarray  # (N+1, d) mean actuator signal
     x_mean: np.ndarray  # (N+1, 2n) mean controller state
 
 
@@ -199,7 +197,7 @@ def solve_closed_loop(
     _BLOCK_STEPS steps at a time, with K and c from
     ode.lattice_values(values, 2, lo, hi): node values at the nodes, the two
     neighbouring nodes weighed by exactly 1/2 at a midpoint.  Each step
-    reads its three table rows by index, and no sample_grid call is made.
+    reads its three table rows by index.
     T and x_mean are returned as owned, C-contiguous copies of the bordered
     grid's blocks.  Raises DivergenceError naming the first step whose
     state is not finite.
@@ -228,8 +226,7 @@ def solve_closed_loop(
     x_mean = bordered[:, :dim, dim].copy()
     del bordered
 
-    s_values = moments + filter_sol.P_full
-    delta = np.einsum("ij,tij->t", sys.Lambda, s_values)
+    delta = np.einsum("ij,tij->t", sys.Lambda, moments + filter_sol.P_full)
 
     pi = control_sol.Pi
     energy = np.einsum("tai,ab,tbj,tij->t", c_values, pi, c_values, moments)
@@ -241,11 +238,8 @@ def solve_closed_loop(
     q_dot = ControlRiccati(sys, pi).rhs_full(q)
     h_pont = _forcing_pairing(q, filter_sol.K, sys.G) - np.einsum("tij,tij->t", q_dot, moments)
 
-    u_mean = np.einsum("tij,tj->ti", c_values, x_mean)
-
     return ClosedLoopSolution(
-        times=times, T=moments, S=s_values, Delta=delta, Phi=phi,
-        H_pont=h_pont, U_mean=u_mean, x_mean=x_mean,
+        times=times, T=moments, Delta=delta, Phi=phi, H_pont=h_pont, x_mean=x_mean,
     )
 
 

@@ -496,6 +496,8 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
 
 @dataclass(frozen=True)
 class CheckpointResidual:
+    """The ensemble's residuals against the ODE pipeline at one checkpoint."""
+
     t: float
     mho_max_abs: float
     mho_max_z: float
@@ -503,17 +505,6 @@ class CheckpointResidual:
     e_mean_max_z: float
     P_rel_err: float
     T_rel_err: float
-
-
-@dataclass(frozen=True)
-class CrossMomentReport:
-    """Per-checkpoint comparison of the ensemble against the ODE pipeline."""
-
-    rows: tuple[CheckpointResidual, ...]
-    mho_within_3se: int        # checkpoints whose x e' residual is within 3 sigma
-    e_mean_within_3se: bool    # every checkpoint's mean error within 3 sigma
-    max_P_rel_err: float
-    max_T_rel_err: float
 
 
 def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -527,13 +518,16 @@ def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
 
 
 def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
-                       checkpoints: int = checks.CHECKPOINTS) -> CrossMomentReport:
-    """Compare empirical moments against P, T and the zero cross-correlation.
+                       checkpoints: int = checks.CHECKPOINTS
+                       ) -> tuple[CheckpointResidual, ...]:
+    """Measure the ensemble against P, T and the zero cross-correlation.
 
-    Report-only: nothing raises on a statistical miss; checks.monte_carlo
-    turns the report into pass/fail gates.  A z-score (checks.z_score) counts
-    as within 3 sigma when it is at most checks.Z_LIMIT; a NaN residual
-    makes its z-score inf and the maximum relative errors NaN, so it fails.
+    Returns one row per checkpoint: the largest z-score (checks.z_score) of
+    the x e' residual and of the mean estimation error, and the relative
+    errors of the sampled error covariance against P and of the sampled
+    controller moment against T.  Measurement only: nothing here applies a
+    limit, and checks.monte_carlo makes every verdict from the rows.  A
+    non-finite residual gives an inf z-score and a NaN or inf relative error.
     Checkpoints are checkpoint_nodes(steps, checkpoints) of the filter grid
     (first and last included); the ensemble must have accumulated each of
     them, so pass the same nodes to simulate_ensemble or let it default to
@@ -561,32 +555,15 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
     x_second = moments.x_second()
     mho_se = moments.cross_xe_se()
 
-    rows = []
-    mho_ok = 0
-    e_ok = True
-    for i, node in zip(slots, nodes):
-        mho_z = checks.z_score(moments.cross_xe[i], mho_se[i])
-        e_z = checks.z_score(e_mean[i], e_mean_se[i])
-        row = CheckpointResidual(
+    return tuple(
+        CheckpointResidual(
             t=float(moments.times[i]),
             mho_max_abs=float(np.max(np.abs(moments.cross_xe[i]))),
-            mho_max_z=float(np.max(mho_z)),
+            mho_max_z=float(np.max(checks.z_score(moments.cross_xe[i], mho_se[i]))),
             e_mean_norm=float(np.linalg.norm(e_mean[i])),
-            e_mean_max_z=float(np.max(e_z)),
+            e_mean_max_z=float(np.max(checks.z_score(e_mean[i], e_mean_se[i]))),
             P_rel_err=_rel_err(e_second[i], filter_sol.P_full[node]),
             T_rel_err=_rel_err(x_second[i], closedloop_sol.T[node]),
         )
-        rows.append(row)
-        if row.mho_max_z <= checks.Z_LIMIT:
-            mho_ok += 1
-        if row.e_mean_max_z > checks.Z_LIMIT:
-            e_ok = False
-
-    return CrossMomentReport(
-        rows=tuple(rows),
-        mho_within_3se=mho_ok,
-        e_mean_within_3se=e_ok,
-        # np.max, unlike max(), returns NaN when any row is NaN.
-        max_P_rel_err=float(np.max([r.P_rel_err for r in rows])),
-        max_T_rel_err=float(np.max([r.T_rel_err for r in rows])),
+        for i, node in zip(slots, nodes)
     )

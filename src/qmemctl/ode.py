@@ -108,7 +108,7 @@ def rk4_stage_times(t0: float, t1: float, steps: int) -> np.ndarray:
     return lattice
 
 
-def _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, clock):
+def _rk4(rhs, init, t0, t1, steps, post_step, clock):
     """Forward RK4 loop; `clock` maps integration time to reported time."""
     stage_times = rk4_stage_times(t0, t1, steps)
     times = stage_times[0::2].copy()
@@ -130,8 +130,6 @@ def _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, clock):
             k3 = rhs(t_mid, state + half_h * k2)
             k4 = rhs(t_next, state + h * k3)
             state = state + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-            if symmetrize:
-                state = 0.5 * (state + state.swapaxes(-2, -1))
             if post_step is not None:
                 state = post_step(state)
             if not np.isfinite(state).all():
@@ -149,7 +147,6 @@ def integrate_matrix_ode(
     t1: float,
     steps: int,
     direction: str = "forward",
-    symmetrize: bool = False,
     post_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> TimeGrid:
     """Integrate d(state)/dt = rhs(t, state) with fixed-step RK4.
@@ -162,11 +159,9 @@ def integrate_matrix_ode(
         Backward integrates from t1 down to t0; the result is re-indexed so
         the returned grid is ascending in time either way (the terminal node
         therefore holds `init` exactly).
-    symmetrize : bool
-        Replace each accepted state by its symmetric part (S + S') / 2.
     post_step : callable, optional
-        Applied to each accepted state after symmetrization; used for
-        structure fixes on stacked block states.
+        Applied to each accepted state; used for structure fixes such as
+        symmetrization of stacked block states.
 
     Raises
     ------
@@ -176,7 +171,7 @@ def integrate_matrix_ode(
         If any state entry stops being finite, naming the step and time.
     """
     if direction == "forward":
-        times, values = _rk4(rhs, init, t0, t1, steps, symmetrize, post_step, lambda t: t)
+        times, values = _rk4(rhs, init, t0, t1, steps, post_step, lambda t: t)
         return TimeGrid(times, values)
     if direction == "backward":
         # Time reversal: s = t0 + t1 - t turns the terminal-value problem into
@@ -187,7 +182,7 @@ def integrate_matrix_ode(
             return -rhs(pivot - s, state)
 
         times, values = _rk4(
-            reversed_rhs, init, t0, t1, steps, symmetrize, post_step, lambda s: pivot - s
+            reversed_rhs, init, t0, t1, steps, post_step, lambda s: pivot - s
         )
         return TimeGrid(times, values[::-1].copy())
     raise ValueError(f"unknown direction {direction!r}")

@@ -84,10 +84,10 @@ class TestMonteCarloGates:
                 sys_m, GainSchedule(gains.times, gains.K, c, gains.Pi), spec.mean0,
                 spec.cov0, paths=2000, base_seed=1_234_567,
                 nodes=checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
-            report = cross_moment_check(moments, closed, filt)
-            gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
+            rows = cross_moment_check(moments, closed, filt)
+            gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert moments.deviation_mean == np.inf and np.isnan(moments.deviation_se)
-        assert report.max_T_rel_err == np.inf
+        assert np.max([row.T_rel_err for row in rows]) == np.inf
         assert gates["mc_delta_within_3se"]["value"] == np.inf
         assert "mc_delta_within_3se" in checks.failed(gates)
 
@@ -96,11 +96,11 @@ class TestMonteCarloGates:
         moments = _healthy_ensemble(ref500)
         second_e = moments.second_e.copy()
         second_e[3, 0, 0] = np.nan  # a non-first checkpoint
-        report = cross_moment_check(dataclasses.replace(moments, second_e=second_e),
-                                    closed, filt)
-        assert np.isnan(report.rows[3].P_rel_err) and not np.isnan(report.rows[0].P_rel_err)
-        assert np.isnan(report.max_P_rel_err)
-        gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
+        rows = cross_moment_check(dataclasses.replace(moments, second_e=second_e),
+                                  closed, filt)
+        assert np.isnan(rows[3].P_rel_err) and not np.isnan(rows[0].P_rel_err)
+        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
+        assert np.isnan(gates["mc_P_relative_error"]["value"])
         assert not gates["mc_P_relative_error"]["passed"]
 
     def test_nan_error_mean_fails_e_mean_gate(self, ref500):
@@ -108,21 +108,39 @@ class TestMonteCarloGates:
         moments = _healthy_ensemble(ref500)
         mean_e = moments.mean_e.copy()
         mean_e[5, 1] = np.nan
-        report = cross_moment_check(dataclasses.replace(moments, mean_e=mean_e), closed, filt)
-        assert report.rows[5].e_mean_max_z == np.inf
-        gates = checks.monte_carlo(moments, report, float(closed.Delta[-1]))
+        rows = cross_moment_check(dataclasses.replace(moments, mean_e=mean_e), closed, filt)
+        assert rows[5].e_mean_max_z == np.inf
+        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert not gates["mc_e_mean"]["passed"]
 
     def test_non_finite_energy_fails_cost_gate(self, ref500):
         spec, sys_m, filt, ctrl, closed = ref500
         moments = _healthy_ensemble(ref500)
-        report = cross_moment_check(moments, closed, filt)
+        rows = cross_moment_check(moments, closed, filt)
         delta_ode = float(closed.Delta[-1])
-        healthy = checks.monte_carlo(moments, report, delta_ode)
+        healthy = checks.monte_carlo(moments, rows, delta_ode)
         assert healthy["mc_cost_finite"] == {"passed": True, "value": [], "limit": []}
         broken = dataclasses.replace(moments, control_energy_mean=np.inf)
-        gates = checks.monte_carlo(broken, report, delta_ode)
+        gates = checks.monte_carlo(broken, rows, delta_ode)
         assert math.isfinite(broken.deviation_mean)
         assert gates["mc_delta_within_3se"] == healthy["mc_delta_within_3se"]
         assert gates["mc_cost_finite"]["value"] == ["control_energy_mean"]
         assert "mc_cost_finite" in checks.failed(gates)
+
+    def test_z_limit_is_read_by_the_gates_alone(self, ref500, monkeypatch):
+        # The rows are measurements only: lowering the limit below every
+        # checkpoint's z-scores leaves them as they are and fails both gates.
+        spec, sys_m, filt, ctrl, closed = ref500
+        moments = _healthy_ensemble(ref500)
+        rows = cross_moment_check(moments, closed, filt)
+        delta_ode = float(closed.Delta[-1])
+        healthy = checks.monte_carlo(moments, rows, delta_ode)
+        assert healthy["mc_mho_checkpoints"]["passed"] and healthy["mc_e_mean"]["passed"]
+        limit = 0.5 * min(min(row.mho_max_z, row.e_mean_max_z) for row in rows)
+        assert limit > 0.0
+        monkeypatch.setattr(checks, "Z_LIMIT", limit)
+        assert cross_moment_check(moments, closed, filt) == rows
+        gates = checks.monte_carlo(moments, rows, delta_ode)
+        assert gates["mc_mho_checkpoints"]["value"] == 0
+        assert not gates["mc_mho_checkpoints"]["passed"]
+        assert gates["mc_e_mean"] == {"passed": False, "value": False, "limit": True}

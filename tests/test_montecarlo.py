@@ -23,7 +23,7 @@ from qmemctl import (
     solve_control,
     solve_filter,
 )
-from qmemctl import montecarlo
+from qmemctl import checks, montecarlo
 from qmemctl.model import ScenarioSpec
 from qmemctl.montecarlo import GainSchedule, splitmix64
 
@@ -617,30 +617,32 @@ class TestCrossMomentCheck:
         gains = gain_schedule(filt, ctrl)
         moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
                                     base_seed=3)
-        report = cross_moment_check(moments, closed, filt)
-        for row in report.rows:
+        rows = cross_moment_check(moments, closed, filt)
+        for row in rows:
             assert row.mho_max_abs == 0.0
             assert row.e_mean_norm == 0.0
             assert row.P_rel_err == 0.0
             assert row.T_rel_err < 2e-2  # Euler vs RK4 discretization only
-        assert report.mho_within_3se == len(report.rows)
-        assert report.e_mean_within_3se
+        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
+        assert gates["mc_mho_checkpoints"]["value"] == len(rows)
+        assert gates["mc_e_mean"]["value"]
 
     def test_reference_statistics_within_bands(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
         moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4000,
                                     base_seed=1234567)
-        report = cross_moment_check(moments, closed, filt)
-        assert len(report.rows) == 10
-        assert report.mho_within_3se >= 9
-        assert report.max_P_rel_err <= 0.05
-        assert report.max_T_rel_err <= 0.05
+        rows = cross_moment_check(moments, closed, filt)
+        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
+        assert len(rows) == 10
+        assert gates["mc_mho_checkpoints"]["value"] >= 9
+        assert gates["mc_P_relative_error"]["value"] <= 0.05
+        assert np.max([row.T_rel_err for row in rows]) <= 0.05
 
     def test_unaccumulated_checkpoint_rejected(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
         moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
                                     base_seed=1, nodes=checkpoint_nodes(500, 10))
-        assert len(cross_moment_check(moments, closed, filt, 10).rows) == 10
+        assert len(cross_moment_check(moments, closed, filt, 10)) == 10
         with pytest.raises(GridMismatchError, match="not accumulated"):
             cross_moment_check(moments, closed, filt, 5)
 

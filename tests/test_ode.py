@@ -62,17 +62,6 @@ def test_rk4_fourth_order_convergence():
     assert 13.0 <= ratio <= 19.0
 
 
-def test_symmetrize_is_noop_for_symmetric_flows():
-    sym = np.array([[1.0, 0.3], [0.3, 2.0]])
-
-    def rhs(t, x):
-        return -x  # maps symmetric to symmetric
-
-    plain = integrate_matrix_ode(rhs, sym, 0.0, 1.0, 64)
-    forced = integrate_matrix_ode(rhs, sym, 0.0, 1.0, 64, symmetrize=True)
-    np.testing.assert_allclose(plain.values, forced.values, rtol=0, atol=1e-15)
-
-
 def test_post_step_hook_applied():
     def clip(state):
         return np.minimum(state, 0.5)
