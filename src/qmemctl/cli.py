@@ -218,8 +218,10 @@ def _write_csv(path: Path, columns) -> None:
             names = [f"{label}_{i}_{j}" for i in range(rows) for j in range(cols)]
         header += names
         blocks.append(values.reshape(len(values), len(names)))
+    # "%.17g" % v is _fmt(v) for every float; one template formats a row.
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in np.concatenate(blocks, axis=1))
+    lines.extend(template % tuple(row) for row in np.concatenate(blocks, axis=1).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

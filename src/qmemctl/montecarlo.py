@@ -27,14 +27,20 @@ there is no noise and cov0 = 0.  The update is affine and its gains are
 fixed within each substep, so the substeps of one grid interval fold into
 one map per node (_node_operators): every path advances a whole node with
 two matrix products, which also yield the substeps' control-energy terms.
-Each path owns a generator seeded by base_seed XOR splitmix64(index) and
+Each path owns a generator seeded by base_seed XOR splitmix64(index), whose
+stream is exactly numpy's default_rng(seed)'s.  The generators are built
+without a SeedSequence per path: one uint32 array pass computes the four
+PCG64 seed words SeedSequence(seed) would give for every seed (_seed_words),
+and each path's PCG64 takes its row of words (_path_generators).  Each path
 draws its noise in windows of whole node intervals; the maps of a window
 are folded when it is drawn, so memory is bounded by _NOISE_BUDGET whatever
 the grid length.  A window is laid out node-major, (nodes, paths, draws),
 so that the noise product of each node reads one contiguous block instead
 of one short piece per path at a window-row stride.  Only the per-path
-drawing is threaded: contiguous path-index ranges are filled by one thread
-per available CPU, since numpy's generators release the GIL while filling.
+drawing of the noise windows is threaded: contiguous path-index ranges are
+filled by one thread per available CPU, since numpy's generators release the
+GIL while filling; the X0 window, n normals a path, is drawn in one thread,
+since threads only pass the GIL back and forth over draws that short.
 Which thread draws a path cannot change its draws, and the propagation and
 the moment sums that follow run in one thread over whole arrays, so every
 output is bit-identical whatever the thread count.  Moments are
@@ -58,6 +64,14 @@ from .errors import DivergenceError, GridMismatchError
 from .ode import lattice_values
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+# numpy's SeedSequence constants (NEP 19): the running multipliers of its
+# entropy hash (A) and output hash (B), its word mixer, and its pool size.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 # Noise is drawn, and the node maps folded, in windows of whole node
 # intervals that hold at most this many doubles of noise, drawing scratch
@@ -73,16 +87,108 @@ _NOISE_BUDGET = 1 << 24
 _CHUNK = 64
 
 
-def splitmix64(value: int) -> int:
-    """One step of the splitmix64 mixer (64-bit avalanche function)."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def splitmix64(values) -> np.ndarray:
+    """The splitmix64 mixer (64-bit avalanche function), elementwise.
+
+    Takes and returns uint64 values (a 0-d array for a scalar); the steps
+    run in place on a uint64 copy, so every sum and product wraps mod 2^64.
+    """
+    z = np.array(values, dtype=np.uint64)
+    z += 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _path_seeds(base_seed: int, indices) -> np.ndarray:
+    """base_seed XOR splitmix64(index) for every index, as uint64."""
+    return splitmix64(indices) ^ np.uint64(int(base_seed) & _MASK64)
 
 
 def derive_path_seed(base_seed: int, index: int) -> int:
-    return (int(base_seed) & _MASK64) ^ splitmix64(int(index))
+    return int(_path_seeds(base_seed, int(index)))
+
+
+def _validated_seeds(seeds) -> np.ndarray:
+    """The `seeds` override as uint64; every entry must be an int in [0, 2^64)."""
+    for i, seed in enumerate(seeds):
+        if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+                or not 0 <= seed <= _MASK64):
+            raise ValueError(f"seeds[{i}] = {seed!r} is not an int in [0, 2^64)")
+    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
+
+
+def _hasher(key: int, mult: int):
+    """SeedSequence's uint32 hash, whose key advances by `mult` on every call."""
+    def hash_words(words: np.ndarray) -> np.ndarray:
+        nonlocal key
+        words = words ^ key
+        key = key * mult & _MASK32
+        words *= key
+        words ^= words >> 16
+        return words
+    return hash_words
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every uint64 seed s.
+
+    SeedSequence splits an int seed into little-endian uint32 words, hashes
+    them into a pool of four words, mixes every pool word into every other,
+    and hashes the pool out into eight words, read as four little-endian
+    uint64.  Its hash keys do not depend on the seed, so every step runs on
+    all seeds at once in uint32 arrays, where products wrap mod 2^32.  A
+    missing word hashes as a word equal to 0, so a seed below 2^32 (one
+    word) and a larger one (two) both take the low and the high word, and
+    the pool is zero-padded to four.  Returns C-contiguous (len(seeds), 4)
+    uint64 rows, the layout PCG64 reads its seed words in.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    entropy_hash = _hasher(_INIT_A, _MULT_A)
+    for i in range(_POOL_SIZE):
+        pool[i] = entropy_hash(pool[i])
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * entropy_hash(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    output_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output_hash(pool[i % _POOL_SIZE]) for i in range(8)]).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+
+
+def _path_generators(words: np.ndarray) -> list:
+    """One Generator(PCG64) per row of _seed_words, with default_rng(seed)'s stream.
+
+    default_rng(seed) is Generator(PCG64(SeedSequence(seed))), and PCG64
+    reads only generate_state(4, np.uint64) from its seed sequence; here
+    that call returns the row.  numpy.random is imported here, not at
+    module level, so that importing the package does not load it.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    # PCG64 reads its four words through a raw pointer into the row.
+    if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != 4 \
+            or not words.flags.c_contiguous:
+        raise ValueError("seed words must be a C-contiguous (paths, 4) uint64 array")
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence that hands PCG64 one precomputed row of seed words."""
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return [Generator(PCG64(SeedWords(row))) for row in words]
 
 
 def checkpoint_nodes(steps: int, checkpoints: int) -> np.ndarray:
@@ -343,11 +449,11 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     twon = 2 * n
     dim = 2 * twon
     count = len(seeds)
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    rngs = _path_generators(_seed_words(seeds))
     workers = _worker_count(count)
 
-    zeta = np.empty((1, count, n))  # a one-node window
-    _draw_normals(rngs, zeta, workers)
+    zeta = np.empty((1, count, n))  # a one-node window, drawn in this thread
+    _draw_normals(rngs, zeta, 1)
     spread0 = zeta[0] @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
 
@@ -483,15 +589,18 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
     Seeds default to derive_path_seed(base_seed, i) for i = 0..paths-1.  The
     `seeds` override serves tests: with paths=2 and two identical seeds the
     empirical variance is zero and every mean is that one path, bitwise.
+    Each of its entries must be an int in [0, 2^64), or ValueError names it.
     """
     if paths < 2:
         raise ValueError(f"need at least 2 paths, got {paths}")
     if seeds is None:
-        seeds = [derive_path_seed(base_seed, i) for i in range(paths)]
+        seeds = _path_seeds(base_seed, np.arange(paths, dtype=np.uint64))
     elif len(seeds) != paths:
         raise ValueError(f"{len(seeds)} seeds supplied for {paths} paths")
+    else:
+        seeds = _validated_seeds(seeds)
     factor = psd_sqrt(cov0)
-    return _propagate(sys, gains, mean0, factor, list(seeds), substeps_per_node, nodes)
+    return _propagate(sys, gains, mean0, factor, seeds, substeps_per_node, nodes)
 
 
 @dataclass(frozen=True)

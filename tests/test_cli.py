@@ -311,8 +311,20 @@ def test_summary_json_writes_non_finite_numpy_values_as_null():
                                 "d": [None, [[[None, 2.0]]]], "e": True}
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test-only dependency: importing the CLI must not load it."""
+def test_csv_rows_format_like_fmt(tmp_path):
+    """The row template writes every value exactly as _fmt does."""
+    from qmemctl.cli import _fmt, _write_csv
+
+    values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1]
+    _write_csv(tmp_path / "row.csv",
+               [(f"v{i}", np.array([v])) for i, v in enumerate(values)])
+    lines = (tmp_path / "row.csv").read_text().splitlines()
+    assert lines[1] == ",".join(_fmt(v) for v in values)
+    assert lines[1] == "nan,inf,-inf,-0,4.9406564584124654e-324,1e+308,0.10000000000000001"
+
+
+def _modules_after_cli_import(package: str) -> list[str]:
+    """Modules of `package` loaded by `import qmemctl.cli` in a fresh interpreter."""
     import os
     import subprocess
     import sys
@@ -322,8 +334,18 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(qmemctl.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, qmemctl.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, qmemctl.cli; print(*sorted(m for m in sys.modules "
+            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency: importing the CLI must not load it."""
+    assert _modules_after_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_numpy_random():
+    """numpy.random is loaded only when a Monte Carlo run builds its generators."""
+    assert _modules_after_cli_import("numpy.random") == []

@@ -128,14 +128,79 @@ def _run_bounded(fn, timeout=120.0):
     return outcome["value"]
 
 
+def _splitmix64_int(value: int) -> int:
+    """splitmix64 on Python ints, independent of the vectorised one."""
+    mask = (1 << 64) - 1
+    z = (value + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+_EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1]
+
+
 class TestSeeding:
     def test_splitmix_reference_vector(self):
         assert splitmix64(0) == 0xE220A8397B1DCDAF
+
+    def test_vectorised_splitmix_matches_scalar_formula(self):
+        indices = np.arange(1000, dtype=np.uint64)
+        mixed = splitmix64(indices)
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [_splitmix64_int(i) for i in range(1000)]
+        assert mixed.tolist() == [derive_path_seed(0, i) for i in range(1000)]
+        assert [derive_path_seed(123, i) for i in range(1000)] == \
+               [123 ^ _splitmix64_int(i) for i in range(1000)]
 
     def test_derived_seeds_distinct_and_stable(self):
         seeds = [derive_path_seed(123, i) for i in range(1000)]
         assert len(set(seeds)) == 1000
         assert seeds == [derive_path_seed(123, i) for i in range(1000)]
+
+    @pytest.mark.parametrize("seeds", [
+        _EDGE_SEEDS,
+        [derive_path_seed(123, i) for i in range(1000)],
+    ], ids=["edge", "derived"])
+    def test_seed_words_match_seed_sequence(self, seeds):
+        # Pins the vectorised SeedSequence: if numpy ever changes its
+        # seeding, this fails instead of every stream shifting silently.
+        words = montecarlo._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64)
+                             for s in seeds])
+        assert np.array_equal(words, expected)
+
+    def test_generators_match_default_rng(self):
+        seeds = _EDGE_SEEDS + [derive_path_seed(123, i) for i in range(100)]
+        rngs = montecarlo._path_generators(
+            montecarlo._seed_words(np.array(seeds, dtype=np.uint64)))
+        for seed, rng in zip(seeds, rngs):
+            reference = np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
+            assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5)), seed
+
+    @pytest.mark.parametrize("words", [
+        np.zeros((3, 4)),                                   # float64
+        np.zeros((3, 8), dtype=np.uint64),                  # too many words
+        np.asfortranarray(np.zeros((3, 4), dtype=np.uint64)),  # rows not contiguous
+    ], ids=["dtype", "shape", "order"])
+    def test_generators_refuse_malformed_words(self, words):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            montecarlo._path_generators(words)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 3.0, True])
+    def test_seed_override_must_be_uint64_int(self, mc_setup, bad):
+        spec, sys_m, _, _, _, gains = mc_setup
+        with pytest.raises(ValueError, match=re.escape(f"seeds[1] = {bad!r}")):
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
+                              base_seed=0, seeds=[5, bad])
+
+    def test_seed_override_accepts_the_uint64_range(self, mc_setup):
+        spec, sys_m, _, _, _, gains = mc_setup
+        top = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
+                                base_seed=0, seeds=[0, np.uint64(2**64 - 1)])
+        assert np.isfinite(top.mean_y).all()
 
 
 class TestPsdSqrt:
