@@ -31,28 +31,33 @@ Each path owns a generator seeded by base_seed XOR splitmix64(index), whose
 stream is exactly numpy's default_rng(seed)'s.  The generators are built
 without a SeedSequence per path: one uint32 array pass computes the four
 PCG64 seed words SeedSequence(seed) would give for every seed (_seed_words),
-and each path's PCG64 takes its row of words (_path_generators).  Each path
-draws its noise in windows of whole node intervals; the maps of a window
-are folded when it is drawn, so memory is bounded by _NOISE_BUDGET whatever
-the grid length.  A window is laid out node-major, (nodes, paths, draws),
-so that the noise product of each node reads one contiguous block instead
-of one short piece per path at a window-row stride.  Only the per-path
-drawing of the noise windows is threaded: contiguous path-index ranges are
-filled by one thread per available CPU, since numpy's generators release the
-GIL while filling; the X0 window, n normals a path, is drawn in one thread,
-since threads only pass the GIL back and forth over draws that short.
-Which thread draws a path cannot change its draws, and the propagation and
-the moment sums that follow run in one thread over whole arrays, so every
-output is bit-identical whatever the thread count.  Moments are
-accumulated only at the requested grid nodes (see checkpoint_nodes); the
-state is checked for finiteness at every node.  The oracle returns ensemble
-statistics only (simulate_ensemble); two paths with one seed give a single
-path's trajectory as their mean.
+and each path's PCG64 takes its row of words (_path_generators).  The noise is
+drawn in tiles: a block of paths by a window of whole node intervals.  The
+block is fixed by the model's shapes (_TILE_FOOTPRINT) and the window by
+_NOISE_BUDGET, so neither the memory the noise holds nor the length of a
+draw call depends on the path count.  A tile is laid out node-major,
+(nodes, paths, draws), so that the noise product of each node reads one
+contiguous block.  The maps of a window are folded once, and every block
+advances through the window with two matrix products a node; its rows at the
+accumulated nodes are copied into population-wide arrays, so every moment
+sum still runs over all paths at once.  A fixed set of drawing threads fills
+the path chunks of the next tile while the calling thread propagates the
+current one, since numpy's generators release the GIL while filling; the X0
+draws, n normals a path, are drawn in one thread, since threads only pass
+the GIL back and forth over draws that short.  Which thread draws a path
+cannot change its draws, each path's stream is consumed in order whatever
+the tiling, and a row's products do not depend on the other rows of its
+block, so every output is bit-identical whatever the thread count, block
+or window.  Moments are accumulated only at the requested grid nodes (see
+checkpoint_nodes); the state is checked for finiteness at every node.  The
+oracle returns ensemble statistics only (simulate_ensemble); two paths with
+one seed give a single path's trajectory as their mean.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,17 +78,33 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
-# Noise is drawn, and the node maps folded, in windows of whole node
-# intervals that hold at most this many doubles of noise, drawing scratch
-# and maps together, unless one interval alone is larger; this bounds peak
-# memory without changing any per-path stream or any bit of the maps.  The
-# noise is stored node-major, so each node's product reads one contiguous
-# (paths, draws) block.
-_NOISE_BUDGET = 1 << 24
+# Noise is drawn and propagated in tiles of a block of paths by a window of
+# nodes.  A block has rows paths with rows (4n + s m) ~ _TILE_FOOTPRINT
+# doubles, one node's state and noise for the block, so that the node's two
+# products run on data still in cache (2 500 paths on the reference, 625 at
+# n = 8).  The block follows from the model's shapes alone, never from the
+# path or thread count.  A row's products do not depend on the other rows of
+# its block (the BLAS computes each output row from its own input row, which
+# TestThreadedNoise pins), so no output changes by a bit with the block.
+_TILE_FOOTPRINT = 40_000
+
+# Doubles that the two noise tiles in flight (the one propagated and the one
+# being drawn), the drawing threads' scratch and one window's folded maps
+# hold together; this sets the window width, unless one node interval alone
+# is larger.  Neither it nor the block depends on the path count, so a long
+# grid or a large ensemble needs no more noise memory than a short one, and
+# every draw call is as long at 300 paths as at 30 000.  No per-path stream,
+# no bit of a map and no bit of any output depends on it.
+_NOISE_BUDGET = 1 << 23
+
+# Accumulated nodes a window may reach: each holds a copy of every path's
+# state until the window's last block has passed it, so this bounds that
+# memory when every node is accumulated.
+_HELD_NODES = 8
 
 # Paths a drawing thread draws into its scratch before it writes them into
-# the node-major window with one transposing assignment, while the scratch
-# is still in cache.
+# the node-major tile with one transposing assignment, while the scratch is
+# still in cache; the threads take the chunks of a tile in path order.
 _CHUNK = 64
 
 
@@ -103,9 +124,17 @@ def splitmix64(values) -> np.ndarray:
     return z
 
 
+def _uint64_seed(seed, name: str) -> int:
+    """seed as a Python int; it must be an int in [0, 2^64), or ValueError names it."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or not 0 <= seed <= _MASK64):
+        raise ValueError(f"{name} = {seed!r} is not an int in [0, 2^64)")
+    return int(seed)
+
+
 def _path_seeds(base_seed: int, indices) -> np.ndarray:
     """base_seed XOR splitmix64(index) for every index, as uint64."""
-    return splitmix64(indices) ^ np.uint64(int(base_seed) & _MASK64)
+    return splitmix64(indices) ^ np.uint64(_uint64_seed(base_seed, "base_seed"))
 
 
 def derive_path_seed(base_seed: int, index: int) -> int:
@@ -114,11 +143,8 @@ def derive_path_seed(base_seed: int, index: int) -> int:
 
 def _validated_seeds(seeds) -> np.ndarray:
     """The `seeds` override as uint64; every entry must be an int in [0, 2^64)."""
-    for i, seed in enumerate(seeds):
-        if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-                or not 0 <= seed <= _MASK64):
-            raise ValueError(f"seeds[{i}] = {seed!r} is not an int in [0, 2^64)")
-    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
+    return np.array([_uint64_seed(seed, f"seeds[{i}]") for i, seed in enumerate(seeds)],
+                    dtype=np.uint64)
 
 
 def _hasher(key: int, mult: int):
@@ -209,42 +235,84 @@ def _worker_count(paths: int) -> int:
     return max(1, min(cpus or 1, paths))
 
 
-def _draw_normals(rngs, out: np.ndarray, workers: int) -> None:
-    """Fill the node-major window out (width, paths, draws) from rngs.
+class _NoiseDrawer:
+    """Fills node-major noise tiles from the paths' generators, _CHUNK paths at a time.
 
-    Path i draws width * draws normals from rngs[i] alone, and out[k, i] is
-    their k-th run of `draws`: node k's noise of every path is one
-    C-contiguous (paths, draws) block.  Contiguous path-index ranges go to
-    `workers` threads (the calling thread takes the first).  Each thread
-    draws _CHUNK paths at a time into its own scratch, one standard_normal
-    call per path, and writes them into `out` with one transposing
-    assignment.  No draw depends on `workers`.
+    post(tile, first) hands tile (width, rows, draws), whose row i belongs
+    to path first + i, to the `helpers` drawing threads started here: path
+    i draws width * draws normals from rngs[i] alone, and tile[k, i - first]
+    is their k-th run of `draws`.  Each thread takes the tile's next chunk
+    until none is left; drain() has the calling thread take chunks too,
+    waits for the helpers and re-raises a drawing error.  `row` is the
+    longest width * draws a tile will have.  Leaving the `with` block stops
+    and joins the threads.  No draw depends on which thread makes it.
     """
-    width, _, draws = out.shape
-    errors: list[BaseException] = []
 
-    def fill(lo: int, hi: int) -> None:
+    def __init__(self, rngs, helpers: int, row: int):
+        self._rngs = rngs
+        self._scratch = [np.empty(_CHUNK * row) for _ in range(helpers + 1)]
+        self._lock = threading.Lock()
+        self._jobs: queue.Queue = queue.Queue()
+        self._errors: list[BaseException] = []
+        self._threads = [threading.Thread(target=self._serve, args=(scratch,), daemon=True)
+                         for scratch in self._scratch[1:]]
+        for thread in self._threads:
+            thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for _ in self._threads:
+            self._jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+
+    def post(self, tile: np.ndarray, first: int) -> None:
+        self._posted = (tile, first, iter(range(0, tile.shape[1], _CHUNK)))
+        for _ in self._threads:
+            self._jobs.put(self._posted)
+
+    def drain(self) -> None:
         try:
-            scratch = np.empty((min(_CHUNK, hi - lo), width * draws))
-            for start in range(lo, hi, _CHUNK):
-                rows = scratch[:min(_CHUNK, hi - start)]
-                for i, row in enumerate(rows, start):
-                    rngs[i].standard_normal(out=row)
-                out[:, start:start + len(rows)] = (
-                    rows.reshape(len(rows), width, draws).swapaxes(0, 1))
-        except BaseException as exc:  # re-raised below, once every thread is done
-            errors.append(exc)
+            self._draw(*self._posted, self._scratch[0])
+        finally:
+            self._jobs.join()
+        if self._errors:
+            raise self._errors[0]
 
-    bounds = [len(rngs) * w // workers for w in range(workers + 1)]
-    threads = [threading.Thread(target=fill, args=(bounds[w], bounds[w + 1]))
-               for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    fill(bounds[0], bounds[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    def _serve(self, scratch: np.ndarray) -> None:
+        for job in iter(self._jobs.get, None):
+            try:
+                self._draw(*job, scratch)
+            except BaseException as exc:  # re-raised by drain
+                self._errors.append(exc)
+            finally:
+                self._jobs.task_done()
+
+    def _draw(self, tile: np.ndarray, first: int, starts, scratch: np.ndarray) -> None:
+        """Draw the tile's chunks not yet taken, one standard_normal call per path."""
+        width, rows, draws = tile.shape
+        while True:
+            with self._lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            stop = min(start + _CHUNK, rows)
+            chunk = scratch[:(stop - start) * width * draws].reshape(stop - start, width * draws)
+            for i, row in enumerate(chunk, first + start):
+                self._rngs[i].standard_normal(out=row)
+            tile[:, start:stop] = chunk.reshape(stop - start, width, draws).swapaxes(0, 1)
+
+
+def _draw_normals(rngs, out: np.ndarray, workers: int) -> None:
+    """Fill the node-major tile out (width, paths, draws) of every path, with `workers` threads.
+
+    The calling thread is one of them (see _NoiseDrawer).
+    """
+    with _NoiseDrawer(rngs, workers - 1, out.shape[0] * out.shape[2]) as drawer:
+        drawer.post(out, 0)
+        drawer.drain()
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -407,30 +475,61 @@ def _node_operators(sys, gains: GainSchedule, sub: int, h: float, pi_sqrt: np.nd
     return w_z, w_w
 
 
+def _windows(steps: int, width: int, nodes: np.ndarray) -> list[tuple[int, int]]:
+    """Node intervals [q0, q1) of at most `width` nodes, covering 0..steps.
+
+    A window ends early, just before the node of `nodes` that would be its
+    (_HELD_NODES + 1)-th in (q0, q1].
+    """
+    windows = []
+    q0 = 0
+    while q0 < steps:
+        q1 = min(steps, q0 + width)
+        ahead = nodes[np.searchsorted(nodes, q0, side="right"):]
+        if len(ahead) > _HELD_NODES and ahead[_HELD_NODES] <= q1:
+            q1 = int(ahead[_HELD_NODES]) - 1
+        windows.append((q0, q1))
+        q0 = q1
+    return windows
+
+
+def _first_non_finite(z: np.ndarray) -> int:
+    """Index of the first row of z with a non-finite entry, or -1."""
+    if np.isfinite(z).all():
+        return -1
+    return int(np.nonzero(~np.isfinite(z).all(axis=1))[0][0])
+
+
 def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                substeps_per_node: int, nodes) -> SampleMoments:
-    """Vectorized Euler-Maruyama over all requested paths, one node at a time.
+    """Vectorized Euler-Maruyama over all requested paths, one tile at a time.
 
     Each grid interval is one affine map (see _node_operators): the row
-    state z = (e, x), e = sX - x, of every path advances to the next node by
+    state z = (e, x), e = sX - x, of a path advances to the next node by
     z W_z[q] + w_q W_w[q], which also yields L_k x_k at each of the node's
     substeps for the control energy, integrated by the substep trapezoid
-    h sum_{j<S} g_j + (h/2)(g_S - g_0), g_j = |L_j x_j|^2.  The products go
-    into preallocated Fortran-order buffers, so the state and the energy
-    terms are contiguous column blocks.  This is the innovation-driven
-    scheme dZ = sC sX h + D dw sqrt(h), dV = dZ - sC x h,
+    h sum_{j<S} g_j + (h/2)(g_S - g_0), g_j = |L_j x_j|^2.  This is the
+    innovation-driven scheme dZ = sC sX h + D dw sqrt(h), dV = dZ - sC x h,
     sX += (sA sX + sE U) h + sB dw sqrt(h), x += (sA x + sE U) h + K dV with
-    U = c x, rewritten for e.  sX = e + x is rebuilt only at the accumulated
-    nodes (`nodes`, default every node), with its initial copy taken from
-    the held X0 so that it stays bitwise frozen; the finiteness check runs at
-    every node.  The noise is drawn (threaded by path range, see
-    _draw_normals) in windows of whole node intervals that reuse one buffer,
-    laid out node-major so that each node's product reads one contiguous
-    (paths, draws) block, and each window's maps are folded as it is drawn,
-    with the substep h of the whole grid and sqrt(Pi) computed once here;
-    everything after the drawing runs on whole arrays in one thread, so
-    results depend only on (seeds, substeps) and are bit-reproducible,
-    whatever the window size.
+    U = c x, rewritten for e.
+
+    The noise comes in tiles, a block of paths by a window of nodes (see
+    _TILE_FOOTPRINT and _NOISE_BUDGET), taken window by window and, within
+    a window, block by block; each window's maps are folded once, with the
+    substep h of the whole grid and sqrt(Pi) computed here.  A block's
+    state lives in preallocated Fortran-order buffers, so the state and the
+    energy terms are contiguous column blocks; between tiles each path
+    keeps only z, its summed energy squares and its first energy rate.  The
+    finiteness check runs at every node; a block stops at its first
+    non-finite node, and the window's earliest such node, and its first
+    path, is reported once every block has run.  The block's rows at the
+    accumulated nodes (`nodes`, default every node) are copied into
+    population-wide Fortran-order arrays, and once the window's last block
+    has passed them their moments are summed over all paths at once, with
+    sX = e + x rebuilt and its initial copy taken from the held X0, so that
+    it stays bitwise frozen.  The next tile is drawn while this one
+    propagates (see _NoiseDrawer), so results depend only on (seeds,
+    substeps) and are bit-reproducible whatever the tiling or thread count.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
@@ -448,11 +547,13 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     n, m, d = sys.n, sys.m, gains.c.shape[1]
     twon = 2 * n
     dim = 2 * twon
+    cols = dim + sub * d
+    draws = sub * m
     count = len(seeds)
     rngs = _path_generators(_seed_words(seeds))
     workers = _worker_count(count)
 
-    zeta = np.empty((1, count, n))  # a one-node window, drawn in this thread
+    zeta = np.empty((1, count, n))  # a one-node tile, drawn in this thread
     _draw_normals(rngs, zeta, 1)
     spread0 = zeta[0] @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
@@ -469,19 +570,10 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     y_state = np.empty((count, dim), order="F")
     y_state[:, :n] = plant0
 
-    def take_node(z_state, node_idx: int, substep_idx: int):
-        if not np.isfinite(z_state).all():
-            finite = np.isfinite(z_state).all(axis=1)
-            bad = int(np.nonzero(~finite)[0][0])
-            raise DivergenceError(
-                f"non-finite path state (seed {int(seeds[bad])}) at substep "
-                f"{substep_idx} (t = {times[0] + substep_idx * h:.6g})"
-            )
-        k = slot[node_idx]
-        if k < 0:
-            return
-        err = z_state[:, :twon]
-        x_part = z_state[:, twon:]
+    def accumulate(k: int, z: np.ndarray) -> None:
+        """Add the moments of every path's state z (count, dim) to slot k."""
+        err = z[:, :twon]
+        x_part = z[:, twon:]
         np.add(err[:, n:], x_part[:, n:], out=y_state[:, n:twon])
         y_state[:, twon:] = x_part
         mean_sum[k] += y_state.sum(axis=0)
@@ -491,60 +583,106 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         cross_sum[k] += x_part.T @ err
         cross_sq_sum[k] += (x_part * x_part).T @ (err * err)
 
-    # A diverging path overflows on its way to inf/nan; take_node reports it
-    # as DivergenceError, so numpy's warnings are only noise.  A path whose
-    # state stays finite while its square overflows yields an inf energy,
-    # deviation or cost below, which checks.monte_carlo fails (delta z = inf
-    # or mc_cost_finite).
+    def diverged(path: int, node: int) -> DivergenceError:
+        return DivergenceError(
+            f"non-finite path state (seed {int(seeds[path])}) at substep "
+            f"{node * sub} (t = {times[0] + node * sub * h:.6g})"
+        )
+
+    # A diverging path overflows on its way to inf/nan; the finiteness check
+    # reports it as DivergenceError, so numpy's warnings are only noise.  A
+    # path whose state stays finite while its square overflows yields an inf
+    # energy, deviation or cost below, which checks.monte_carlo fails (delta
+    # z = inf or mc_cost_finite).
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = dim + sub * d
-        # state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
-        state, ahead, drive = (np.empty((count, cols), order="F") for _ in range(3))
-        state[:, :n] = spread0
-        state[:, n:twon] = spread0
-        state[:, twon:dim] = np.concatenate([mean0, mean0])
-        take_node(state[:, :dim], 0, 0)
-
+        # Every path's state between tiles: z = (e, x), the energy squares
+        # summed so far and the energy rate at the first substep.
+        z = np.empty((count, dim), order="F")
+        z[:, :n] = spread0
+        z[:, n:twon] = spread0
+        z[:, twon:] = np.concatenate([mean0, mean0])
+        bad = _first_non_finite(z)
+        if bad >= 0:
+            raise diverged(bad, 0)
+        if slot[0] >= 0:
+            accumulate(0, z)
         squares = np.zeros((count, cols - dim), order="F")
-        draws = sub * m
-        # Doubles per node of a window: every path's draws, each drawing
-        # thread's scratch, the folded maps W_z and W_w, and, while they are
-        # folded, two products and one M_j.
-        per_node = ((count + workers * _CHUNK) * draws + (dim + draws) * cols
-                    + 3 * dim * dim)
-        window = max(1, min(steps, _NOISE_BUDGET // per_node))
-        buffer = np.empty(count * window * draws)
-        q = 0
-        while q < steps:
-            width = min(window, steps - q)
-            noise = buffer[:count * width * draws].reshape(width, count, draws)
-            _draw_normals(rngs, noise, workers)
-            w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q, q + width)
-            for k in range(width):
-                np.matmul(state[:, :dim], w_z[k], out=ahead)
-                np.matmul(noise[k], w_w[k], out=drive)
-                np.add(ahead, drive, out=ahead)
-                state, ahead = ahead, state
-                terms = state[:, dim:]
-                if q == 0:
-                    g_first = (terms[:, :d] ** 2).sum(axis=1)
-                np.multiply(terms, terms, out=drive[:, dim:])
-                squares += drive[:, dim:]
-                q += 1
-                take_node(state[:, :dim], q, q * sub)
-            del w_z, w_w  # before the next window's operators are folded
-        del buffer, noise
+        g_first = np.empty(count)
 
-        z_state = state[:, :dim]
-        g_final = ((z_state[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
+        rows = max(1, _TILE_FOOTPRINT // (dim + draws))
+        # Doubles per node of a window: the two tiles in flight, each
+        # drawing thread's scratch, the folded maps W_z and W_w, and, while
+        # they are folded, two products and one M_j.
+        per_node = ((2 * rows + workers * _CHUNK) * draws + (dim + draws) * cols
+                    + 3 * dim * dim)
+        width = max(1, min(steps, _NOISE_BUDGET // per_node))
+        block = min(rows, count)
+        windows = _windows(steps, width, nodes)
+        tiles = [(q0, q1, lo, min(lo + block, count))
+                 for q0, q1 in windows for lo in range(0, count, block)]
+        # the accumulated nodes in (q0, q1] of each window are nodes[base:top]
+        bounds = np.searchsorted(nodes, [q0 for q0, _ in windows] + [steps], side="right")
+        held = np.empty((int(np.diff(bounds).max()), dim, count))
+        # a block's state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
+        buffers = [np.empty(block * cols) for _ in range(3)]
+        noise_buffers = [np.empty(block * width * draws) for _ in range(2)]
+
+        def tile(i: int) -> np.ndarray:
+            q0, q1, lo, hi = tiles[i]
+            size = (q1 - q0) * (hi - lo) * draws
+            return noise_buffers[i % 2][:size].reshape(q1 - q0, hi - lo, draws)
+
+        with _NoiseDrawer(rngs, workers - 1, width * draws) as drawer:
+            drawer.post(tile(0), 0)
+            drawer.drain()
+            for i, (q0, q1, lo, hi) in enumerate(tiles):
+                noise = tile(i)
+                if i + 1 < len(tiles):
+                    drawer.post(tile(i + 1), tiles[i + 1][2])
+                if lo == 0:
+                    w_z = w_w = None  # before the window's operators are folded
+                    w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q0, q1)
+                    base, top = np.searchsorted(nodes, (q0, q1), side="right")
+                    first_bad = None  # (node, path) of the window's first non-finite state
+                state, ahead, drive = (buf[:(hi - lo) * cols].reshape((hi - lo, cols), order="F")
+                                       for buf in buffers)
+                state[:, :dim] = z[lo:hi]
+                for q in range(q0, q1):
+                    np.matmul(state[:, :dim], w_z[q - q0], out=ahead)
+                    np.matmul(noise[q - q0], w_w[q - q0], out=drive)
+                    np.add(ahead, drive, out=ahead)
+                    state, ahead = ahead, state
+                    terms = state[:, dim:]
+                    if q == 0:
+                        g_first[lo:hi] = (terms[:, :d] ** 2).sum(axis=1)
+                    np.multiply(terms, terms, out=drive[:, dim:])
+                    squares[lo:hi] += drive[:, dim:]
+                    bad = _first_non_finite(state[:, :dim])
+                    if bad >= 0:
+                        if first_bad is None or q + 1 < first_bad[0]:
+                            first_bad = (q + 1, lo + bad)
+                        break
+                    if slot[q + 1] >= 0:
+                        held[slot[q + 1] - base, :, lo:hi] = state[:, :dim].T
+                z[lo:hi] = state[:, :dim]
+                if hi == count:  # the window's last block
+                    if first_bad is not None:
+                        raise diverged(first_bad[1], first_bad[0])
+                    for k in range(base, top):
+                        accumulate(k, held[k - base].T)
+                if i + 1 < len(tiles):
+                    drawer.drain()
+        del held, noise_buffers, w_z, w_w
+
+        g_final = ((z[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
         energy = h * squares.sum(axis=1) + (0.5 * h) * (g_final - g_first)
 
         # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
         s_final = np.empty((count, twon))
         s_final[:, :n] = plant0
-        np.add(z_state[:, n:twon], z_state[:, twon + n:], out=s_final[:, n:])
+        np.add(z[:, n:twon], z[:, twon + n:], out=s_final[:, n:])
         deviation = np.einsum("bi,ij,bj->b", s_final, sys.Lambda, s_final)
-        smoothing = (z_state[:, :n] ** 2).sum(axis=1)
+        smoothing = (z[:, :n] ** 2).sum(axis=1)
         cost_paths = deviation + energy
 
         dev_mean, dev_se = _mean_se(deviation)
@@ -589,7 +727,8 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
     Seeds default to derive_path_seed(base_seed, i) for i = 0..paths-1.  The
     `seeds` override serves tests: with paths=2 and two identical seeds the
     empirical variance is zero and every mean is that one path, bitwise.
-    Each of its entries must be an int in [0, 2^64), or ValueError names it.
+    base_seed, and each entry of `seeds`, must be an int in [0, 2^64), or
+    ValueError names it.
     """
     if paths < 2:
         raise ValueError(f"need at least 2 paths, got {paths}")

@@ -409,11 +409,21 @@ def warn_if_not_psd(values: np.ndarray, times: np.ndarray, what: str) -> None:
 
     The tolerance scales with the largest entry over all nodes, because the
     round-off in an eigenvalue of a symmetric matrix grows with its norm.
+    A Cholesky factorization of every values + delta I, with delta =
+    -PSD_WARN_TOL (1 + max |values|), succeeds exactly when no eigenvalue is
+    below -delta, up to round-off, at a fraction of eigvalsh's cost; the
+    eigenvalues are computed only when it fails, to name the node and value.
     """
+    max_abs = max(float(values.max()), -float(values.min()))  # no |values| temporary
+    bound = PSD_WARN_TOL * (1.0 + max_abs)
+    try:
+        np.linalg.cholesky(values - bound * np.eye(values.shape[-1]))
+        return
+    except np.linalg.LinAlgError:
+        pass
     eigs = np.linalg.eigvalsh(values)
     min_eig = float(eigs.min())
-    max_abs = max(float(values.max()), -float(values.min()))  # no |values| temporary
-    if min_eig < PSD_WARN_TOL * (1.0 + max_abs):
+    if min_eig < bound:
         node = int(np.unravel_index(eigs.argmin(), eigs.shape)[0])
         warnings.warn(
             f"{what} lost positive semidefiniteness: min eigenvalue "

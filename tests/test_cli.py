@@ -239,6 +239,18 @@ class TestFullPipeline:
         assert gates["cost_identity"]["limit"] == checks.identity_limit(5.0, 400)
         assert checks.failed(gates) == ["mc_P_relative_error"]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_with_error(self, tmp_path, capsys, seed):
+        # Such a seed used to be reduced mod 2^64 (2^64 ran seed 0) while
+        # summary.json recorded it unreduced.
+        scen = write_scenario(tmp_path / "s.json", steps=40)
+        out = tmp_path / "out"
+        rc = main(["montecarlo", "--scenario", str(scen), "--out", str(out),
+                   "--paths", "50", "--seed", str(seed)])
+        assert rc == 1
+        assert f"base_seed = {seed} is not an int in [0, 2^64)" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_non_finite_cost_sets_exit_status(self, tmp_path, capsys, monkeypatch):
         simulate = montecarlo.simulate_ensemble
         monkeypatch.setattr(montecarlo, "simulate_ensemble", lambda *args, **kwargs: replace(

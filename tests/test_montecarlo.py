@@ -196,6 +196,19 @@ class TestSeeding:
             simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
                               base_seed=0, seeds=[5, bad])
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, True])
+    def test_base_seed_must_be_uint64_int(self, mc_setup, bad):
+        spec, sys_m, _, _, _, gains = mc_setup
+        message = re.escape(f"base_seed = {bad!r} is not an int in [0, 2^64)")
+        with pytest.raises(ValueError, match=message):
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2, base_seed=bad)
+        with pytest.raises(ValueError, match=message):
+            derive_path_seed(bad, 0)
+
+    def test_base_seed_accepts_the_uint64_range(self):
+        assert derive_path_seed(np.uint64(2**64 - 1), 0) == (2**64 - 1) ^ _splitmix64_int(0)
+        assert derive_path_seed(0, 3) == _splitmix64_int(3)
+
     def test_seed_override_accepts_the_uint64_range(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
         top = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
@@ -504,8 +517,10 @@ class TestNodeOperators:
     # random draws cover d = 0, 1, 2 at each n; a budget of 0.5 is smaller
     # than one node interval, so each window still holds one; 3 intervals
     # over 100 steps leave a last window of one node.  A node interval's
-    # share of the budget is its noise for every path, each drawing
-    # thread's scratch and its operators.
+    # share of the budget is the noise of two tiles of a full path block,
+    # each drawing thread's scratch and its operators.  A window also ends
+    # before the accumulated node that would be its (_HELD_NODES + 1)-th, so
+    # with every node accumulated (nodes None) it holds at most that many.
     CASES = [
         (("random", 2, 2, 11), 1, None, None),      # d = 0
         (("random", 2, 2, 1), 8, 1, None),          # d = 1
@@ -529,8 +544,9 @@ class TestNodeOperators:
         width = spec.steps
         if budget is not None:
             dim, draws = 4 * spec.n, sub * spec.m
+            rows = montecarlo._TILE_FOOTPRINT // (dim + draws)
             scratch = montecarlo._worker_count(paths) * montecarlo._CHUNK
-            per_node = ((paths + scratch) * draws + (dim + draws) * (dim + sub * spec.d)
+            per_node = ((2 * rows + scratch) * draws + (dim + draws) * (dim + sub * spec.d)
                         + 3 * dim * dim)
             monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * per_node))
             width = max(1, int(budget))
@@ -543,8 +559,17 @@ class TestNodeOperators:
         seeds = [derive_path_seed(31, i) for i in range(paths)]
         folded = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
                                    base_seed=31, substeps_per_node=sub, nodes=nodes)
-        last = [spec.steps % width] if spec.steps % width else []
-        assert windows == [width] * (spec.steps // width) + last
+        accumulated = set(range(spec.steps + 1) if nodes is None else np.asarray(nodes).tolist())
+        expected, q0 = [], 0
+        while q0 < spec.steps:
+            q1, held = q0, 0
+            while (q1 - q0 < width and q1 < spec.steps
+                   and held + ((q1 + 1) in accumulated) <= montecarlo._HELD_NODES):
+                q1 += 1
+                held += q1 in accumulated
+            expected.append(q1 - q0)
+            q0 = q1
+        assert windows == expected
         reference = _substep_reference(sys_m, gains, spec.mean0, spec.cov0, seeds, sub, nodes)
         for field in dataclasses.fields(reference):
             ref = np.asarray(getattr(reference, field.name), dtype=float)
@@ -555,12 +580,14 @@ class TestNodeOperators:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * scale, field.name
 
     def test_peak_memory_below_two_noise_windows(self, mc_setup, monkeypatch):
+        # 6000 paths are three path blocks of the reference shapes, so two
+        # tiles are in flight at every tile boundary.
         spec, sys_m, _, _, _, gains = mc_setup
-        budget = 1 << 21  # doubles: a 16 MB window
+        budget = 1 << 21  # doubles: 16 MB
         monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", budget)
         tracemalloc.start()
         try:
-            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2000,
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=6000,
                               base_seed=5, nodes=checkpoint_nodes(spec.steps, 10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -568,9 +595,10 @@ class TestNodeOperators:
         assert peak < 2 * 8 * budget
 
     def test_peak_memory_bounded_with_few_paths(self, monkeypatch):
-        # The operators are folded one noise window at a time, so a long
-        # grid stays within the budget even when a few paths draw little
-        # noise; whole-grid operators took this case to about 360 MB.
+        # The operators are folded one window at a time, and the window is
+        # sized for a full path block, so a long grid stays within the
+        # budget even when a few paths draw little noise; whole-grid
+        # operators took this case to about 360 MB.
         spec = n8_spec(1, steps=4000)
         sys_m, filt, ctrl, _ = _pipeline(spec)
         gains = gain_schedule(filt, ctrl)
@@ -585,38 +613,184 @@ class TestNodeOperators:
             tracemalloc.stop()
         assert peak < 2 * 8 * budget
 
+    def test_peak_memory_does_not_grow_with_the_tiles(self, monkeypatch):
+        # 16 substeps make a path block 1000 paths, so both ensembles fill
+        # whole blocks and their tiles are the same size: the peaks differ
+        # by the per-path state alone, the generators and at most 8 (4n + s d)
+        # doubles a path (z, its copy y, the held checkpoint copies, the
+        # horizon scalars), never by noise.
+        spec = _spec(steps=100)
+        sys_m, filt, ctrl, _ = _pipeline(spec)
+        gains = gain_schedule(filt, ctrl)
+        sub = 16
+        assert montecarlo._TILE_FOOTPRINT // (4 * spec.n + sub * spec.m) < 2000
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 20)
+        seeds = montecarlo._path_seeds(5, np.arange(6000, dtype=np.uint64))
+        peaks = []
+        tracemalloc.start()
+        try:
+            generators = montecarlo._path_generators(montecarlo._seed_words(seeds))
+            generator_bytes = tracemalloc.get_traced_memory()[0]
+            del generators
+            for paths in (2000, 8000):
+                tracemalloc.reset_peak()
+                simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
+                                  base_seed=5, substeps_per_node=sub,
+                                  nodes=checkpoint_nodes(spec.steps, 10))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        state_bytes = 6000 * 8 * 8 * (4 * spec.n + sub * spec.d)
+        assert peaks[1] - peaks[0] <= generator_bytes + state_bytes
+
 
 class TestThreadedNoise:
     def test_moments_independent_of_worker_count(self, mc_setup, monkeypatch):
+        # 301 paths in blocks of 37 leave a last block of 5, and windows of
+        # 23 nodes cross the checkpoints at arbitrary offsets.
         spec, sys_m, _, _, _, gains = mc_setup
         nodes = checkpoint_nodes(500, 10)
-
-        def serial_draw(rngs, out, workers):
-            width, _, draws = out.shape
-            for i, rng in enumerate(rngs):
-                out[:, i] = rng.standard_normal((width, draws))
+        dim, draws = 4 * spec.n, 4 * spec.m
 
         def simulate():
             return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=301,
                                      base_seed=77, nodes=nodes)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_draw_normals", serial_draw)
+        with monkeypatch.context() as patch:  # one tile: every path, every node
+            patch.setattr(montecarlo, "_TILE_FOOTPRINT", 10**9)
+            patch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 40)
+            patch.setattr(montecarlo, "_worker_count", lambda paths: 1)
             reference = _run_bounded(simulate)
 
+        monkeypatch.setattr(montecarlo, "_TILE_FOOTPRINT", 37 * (dim + draws))
+        fold = montecarlo._node_operators
+        windows = []
+        monkeypatch.setattr(montecarlo, "_node_operators",
+                            lambda *args: windows.append(args[-1] - args[-2]) or fold(*args))
         threads_before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # Small noise windows: every path crosses many window boundaries.
-            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 301 * 2 * 64)
-            _assert_moments_identical(_run_bounded(simulate), reference)
-            for workers in (1, 4):
-                with monkeypatch.context() as patch:
-                    patch.setattr(montecarlo, "_worker_count", lambda paths, w=workers: w)
-                    _assert_moments_identical(_run_bounded(simulate), reference)
+            for workers in (1, 2, 4):
+                scratch = workers * montecarlo._CHUNK
+                per_node = ((2 * 37 + scratch) * draws + (dim + draws) * (dim + 4 * spec.d)
+                            + 3 * dim * dim)
+                monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 23 * per_node)
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda paths, w=workers: w)
+                windows.clear()
+                _assert_moments_identical(_run_bounded(simulate), reference)
+                assert windows == [23] * 21 + [17], workers
         finally:
             sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+
+    def test_draw_calls_do_not_shorten_with_more_paths(self, mc_setup, monkeypatch):
+        # Every path makes the same standard_normal calls whatever the
+        # ensemble: 3000 paths are two path blocks, 300 a part of one.
+        spec, sys_m, _, _, _, gains = mc_setup
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 20)
+        build = montecarlo._path_generators
+        calls = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.lengths = rng, []
+                calls.append(self.lengths)
+
+            def standard_normal(self, out):
+                self.lengths.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(montecarlo, "_path_generators",
+                            lambda words: [Recorder(rng) for rng in build(words)])
+        per_path = []
+        for paths in (300, 3000):
+            calls.clear()
+            _run_bounded(lambda: simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0,
+                                                   paths=paths, base_seed=3,
+                                                   nodes=checkpoint_nodes(spec.steps, 10)))
+            assert len(calls) == paths and all(c == calls[0] for c in calls)
+            per_path.append(calls[0])
+        assert per_path[0] == per_path[1]
+        assert len(per_path[0]) > 2 and sum(per_path[0]) == spec.n + 500 * 4 * spec.m
+
+    @pytest.mark.parametrize("poisoned, named", [((30, 20), 37), ((20, 20), 3)],
+                             ids=["later-tile-earlier-node", "same-node"])
+    def test_divergence_named_at_the_earliest_node_across_tiles(self, mc_setup, monkeypatch,
+                                                               poisoned, named):
+        # Paths 3 (block 0) and 37 (block 2) draw inf over grid intervals
+        # poisoned[0] and poisoned[1], both inside the first window of 40
+        # nodes; the first non-finite node, then the first path there, is
+        # named, whichever block reaches it first.
+        spec, sys_m, _, _, _, gains = mc_setup
+        n, draws = spec.n, 4 * spec.m
+        monkeypatch.setattr(montecarlo, "_TILE_FOOTPRINT", 16 * (4 * n + draws))
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 2)
+        per_node = (2 * 16 + 2 * montecarlo._CHUNK) * draws + draws * 12 + 8 * 12 + 192
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 40 * per_node)
+        build = montecarlo._path_generators
+
+        class Poisoned:
+            def __init__(self, rng, interval):
+                self.rng, self.drawn = rng, 0
+                self.span = (n + interval * draws, n + (interval + 1) * draws)
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                lo, hi = (min(max(b - self.drawn, 0), len(out)) for b in self.span)
+                out[lo:hi] = np.inf
+                self.drawn += len(out)
+
+        def generators(words):
+            rngs = build(words)
+            for path, interval in zip((3, 37), poisoned):
+                rngs[path] = Poisoned(rngs[path], interval)
+            return rngs
+
+        monkeypatch.setattr(montecarlo, "_path_generators", generators)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                _run_bounded(lambda: simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0,
+                                                       paths=50, base_seed=8,
+                                                       nodes=checkpoint_nodes(500, 10)))
+        node = min(poisoned) + 1
+        assert str(err.value) == (
+            f"non-finite path state (seed {derive_path_seed(8, named)}) at substep "
+            f"{4 * node} (t = {gains.times[node]:.6g})"
+        )
+
+    @pytest.mark.parametrize("failing_call", [2, 4])
+    def test_drawing_thread_exception_reraised(self, mc_setup, monkeypatch, failing_call):
+        # The failing generator is path 150's, in the third of four blocks,
+        # so each of its tiles is drawn while the tile before it propagates:
+        # its second call draws its first tile, its fourth its third.
+        spec, sys_m, _, _, _, gains = mc_setup
+        monkeypatch.setattr(montecarlo, "_TILE_FOOTPRINT", 64 * 16)
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 16)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 3)
+        build = montecarlo._path_generators
+
+        class Failing:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == failing_call:
+                    raise RuntimeError("generator failed")
+                return self.rng.standard_normal(out=out)
+
+        def generators(words):
+            rngs = build(words)
+            rngs[150] = Failing(rngs[150])
+            return rngs
+
+        monkeypatch.setattr(montecarlo, "_path_generators", generators)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="generator failed"):
+            _run_bounded(lambda: simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0,
+                                                   paths=200, base_seed=1))
         assert threading.active_count() == threads_before
 
     @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -413,3 +413,70 @@ class TestMobiusRiccati:
         monkeypatch.setattr(ode, "_MOBIUS_BLOCK", 1)
         for a, b in zip(blocked, solve()):
             assert np.max(np.abs(a - b)) <= 1e-13 * (1.0 + np.max(np.abs(b)))
+
+
+class TestPsdMonitor:
+    """warn_if_not_psd screens with a shifted Cholesky and names the node by eigvalsh."""
+
+    @staticmethod
+    def _stack(rng, n, min_eigs):
+        """Random symmetric matrices with spectra in [min_eig, 1] and max |entry| <= 1."""
+        stack = []
+        for low in min_eigs:
+            basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spectrum = np.concatenate([[low], rng.uniform(0.1, 1.0, n - 1)])
+            stack.append((basis * spectrum) @ basis.T)
+        return np.array(stack)
+
+    @staticmethod
+    def _warns(values):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ode.warn_if_not_psd(values, np.linspace(0.0, 1.0, len(values)), "P")
+        return [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_names_the_node_below_tolerance(self, n):
+        values = self._stack(np.random.default_rng(n), n, [0.2] * 7)
+        delta = -ode.PSD_WARN_TOL * (1.0 + np.max(np.abs(values)))
+        values[4] = self._stack(np.random.default_rng(1), n, [-2 * delta])[0]
+        delta = -ode.PSD_WARN_TOL * (1.0 + np.max(np.abs(values)))
+        messages = self._warns(values)
+        assert len(messages) == 1
+        assert f"at t = {np.linspace(0.0, 1.0, 7)[4]:.6g}" in messages[0]
+        assert float(re.search(r"eigenvalue (\S+) at", messages[0]).group(1)) < -delta
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_silent_within_tolerance(self, n, monkeypatch):
+        values = self._stack(np.random.default_rng(n), n, [0.2] * 7)
+        delta = -ode.PSD_WARN_TOL * (1.0 + np.max(np.abs(values)))
+        values[4] = self._stack(np.random.default_rng(1), n, [-delta / 2])[0]
+
+        def fail(*args):
+            raise AssertionError("eigenvalues computed although the screen passed")
+
+        with monkeypatch.context() as patch:  # the shifted Cholesky alone decides
+            patch.setattr(np.linalg, "eigvalsh", fail)
+            assert self._warns(values) == []
+
+        def refuse(*args):
+            raise np.linalg.LinAlgError("screen refused")
+
+        # A screen refused by round-off leaves the verdict to the eigenvalues.
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert self._warns(values) == []
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_screen_agrees_with_eigvalsh(self, n):
+        # Minimum eigenvalues spread over (-6e-8, 2e-8), around the
+        # tolerance, which lies in [-2e-8, -1e-8] for entries of at most 1;
+        # eigenvalue round-off (~1e-15) decides none of them.
+        rng = np.random.default_rng(100 + n)
+        outcomes = []
+        for _ in range(100):
+            values = self._stack(rng, n, rng.uniform(-6e-8, 2e-8, 3))
+            bound = ode.PSD_WARN_TOL * (1.0 + np.max(np.abs(values)))
+            expected = np.linalg.eigvalsh(values).min() < bound
+            assert bool(self._warns(values)) == expected
+            outcomes.append(expected)
+        assert 10 < sum(outcomes) < 90
