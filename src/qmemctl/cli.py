@@ -289,10 +289,22 @@ def run(args: argparse.Namespace) -> int:
         }), indent=2, sort_keys=True))
         return 0 if report.ok else 1
 
+    sys_m = _stage("model", model.derive_system_matrices, spec)
+    # A command's decoherence and Monte Carlo options are checked by the
+    # library's own rules before any Riccati solve.
+    t0_matrix = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
+    if args.command in ("montecarlo", "decoherence", "full"):
+        epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+        phi_star = (default_phi_star(sys_m.Lambda, spec.cov0, t0_matrix)
+                    if args.phi_star is None else args.phi_star)
+        threshold = _stage("decoherence", closedloop.decoherence_threshold, epsilon, phi_star)
+    if args.command in ("montecarlo", "full"):
+        paths = DEFAULT_PATHS if args.paths is None else args.paths
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        _stage("montecarlo", montecarlo.check_ensemble, paths, seed)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    sys_m = _stage("model", model.derive_system_matrices, spec)
     filt = _stage("filter", filtering.solve_filter, sys_m, spec.cov0, spec.tau, spec.steps)
     # Each stage's CSV columns, written by its own command and by `full`.
     csvs = {"filter.csv": [("t", filt.times), ("P1", filt.P1), ("P2", filt.P2),
@@ -316,7 +328,6 @@ def run(args: argparse.Namespace) -> int:
         return _write_stage_csv(out, "closedloop.csv", csvs)
 
     phi_tau = float(closed.Phi[-1])
-    t0_matrix = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
     identity = _stage("identity", closedloop.min_cost_identity,
                       filt, ctrl, t0_matrix, sys_m.Lambda, sys_m.G)
     gates = checks.cost_identity(phi_tau, identity, spec.tau, spec.steps)
@@ -327,9 +338,6 @@ def run(args: argparse.Namespace) -> int:
     h_mean = float(closed.H_pont.mean())
     h_variation = float(np.max(np.abs(closed.H_pont - h_mean)) / (1.0 + abs(h_mean)))
 
-    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
-    phi_star = (default_phi_star(sys_m.Lambda, spec.cov0, t0_matrix)
-                if args.phi_star is None else args.phi_star)
     tau_dec = _stage("decoherence", closedloop.decoherence_time,
                      closed.times, closed.Phi, epsilon, phi_star)
 
@@ -349,7 +357,7 @@ def run(args: argparse.Namespace) -> int:
         "decoherence": {
             "epsilon": epsilon,
             "phi_star": phi_star,
-            "threshold": epsilon * phi_star,
+            "threshold": threshold,
             "time": tau_dec,
             "reached": tau_dec is not None,
             "note": None if tau_dec is not None else "not reached within horizon",
@@ -357,8 +365,6 @@ def run(args: argparse.Namespace) -> int:
     }
 
     if args.command in ("montecarlo", "full"):
-        paths = DEFAULT_PATHS if args.paths is None else args.paths
-        seed = DEFAULT_SEED if args.seed is None else args.seed
         gains = montecarlo.gain_schedule(filt, ctrl)
         moments = _stage("montecarlo", montecarlo.simulate_ensemble,
                          sys_m, gains, spec.mean0, spec.cov0, paths, seed,

@@ -270,17 +270,26 @@ def bellman_value(t: float, Gamma: np.ndarray, control_sol, filter_sol,
     return float(np.sum(control_sol.Q_full[idx] * Gamma)) + _trapz(tail, h)
 
 
+def decoherence_threshold(epsilon: float, phi_star: float) -> float:
+    """The running cost epsilon * phi_star that decoherence_time looks for.
+
+    Raises ValueError when it is not positive.
+    """
+    threshold = epsilon * phi_star
+    if not threshold > 0:
+        raise ValueError(f"epsilon * phi_star must be positive, got {threshold}")
+    return threshold
+
+
 def decoherence_time(times: np.ndarray, phi: np.ndarray, epsilon: float,
                      phi_star: float) -> float | None:
     """First time the running cost reaches epsilon * phi_star, or None.
 
     The crossing is refined by linear interpolation between the bracketing
     nodes.  Raises ValueError when the threshold epsilon * phi_star is not
-    positive.
+    positive (see decoherence_threshold).
     """
-    threshold = epsilon * phi_star
-    if not threshold > 0:
-        raise ValueError(f"epsilon * phi_star must be positive, got {threshold}")
+    threshold = decoherence_threshold(epsilon, phi_star)
     times = np.asarray(times, dtype=float)
     phi = np.asarray(phi, dtype=float)
     reached = np.nonzero(phi >= threshold)[0]

@@ -40,26 +40,28 @@ draw call depends on the path count.  A tile is laid out node-major,
 contiguous block.  The maps of a window are folded once, and every block
 advances through the window with two matrix products a node; its rows at the
 accumulated nodes are copied into population-wide arrays, so every moment
-sum still runs over all paths at once.  A fixed set of drawing threads fills
-the path chunks of the next tile while the calling thread propagates the
-current one, since numpy's generators release the GIL while filling; the X0
-draws, n normals a path, are drawn in one thread, since threads only pass
-the GIL back and forth over draws that short.  Which thread draws a path
-cannot change its draws, each path's stream is consumed in order whatever
-the tiling, and a row's products do not depend on the other rows of its
-block, so every output is bit-identical whatever the thread count, block
-or window.  Moments are accumulated only at the requested grid nodes (see
-checkpoint_nodes); the state is checked for finiteness at every node.  The
-oracle returns ensemble statistics only (simulate_ensemble); two paths with
-one seed give a single path's trajectory as their mean.
+sum still runs over all paths at once.  The path chunks of the next tile
+are drawn on a thread pool while the calling thread propagates the current
+one, since numpy's generators release the GIL while filling; before it
+propagates a tile, the calling thread draws the tile's chunks that no pool
+thread has started and waits for the rest, and only then submits the next
+tile.  The X0 draws, n normals a path, are drawn in the calling thread,
+since threads only pass the GIL back and forth over draws that short.
+Which thread draws a path cannot change its draws, each path's stream is
+consumed in order whatever the tiling, and a row's products do not depend
+on the other rows of its block, so every output is bit-identical whatever
+the thread count, block or window.  Moments are accumulated only at the
+requested grid nodes (see checkpoint_nodes); the state is checked for
+finiteness at every node.  The oracle returns ensemble statistics only
+(simulate_ensemble); two paths with one seed give a single path's
+trajectory as their mean.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +91,7 @@ _POOL_SIZE = 4
 _TILE_FOOTPRINT = 40_000
 
 # Doubles that the two noise tiles in flight (the one propagated and the one
-# being drawn), the drawing threads' scratch and one window's folded maps
+# being drawn), the chunks' scratch and one window's folded maps
 # hold together; this sets the window width, unless one node interval alone
 # is larger.  Neither it nor the block depends on the path count, so a long
 # grid or a large ensemble needs no more noise memory than a short one, and
@@ -102,9 +104,9 @@ _NOISE_BUDGET = 1 << 23
 # memory when every node is accumulated.
 _HELD_NODES = 8
 
-# Paths a drawing thread draws into its scratch before it writes them into
-# the node-major tile with one transposing assignment, while the scratch is
-# still in cache; the threads take the chunks of a tile in path order.
+# Paths a chunk of a tile holds: each thread, the calling one too, draws one
+# chunk at a time into a scratch of its own, then writes it into the
+# node-major tile with one transposing assignment while it is still in cache.
 _CHUNK = 64
 
 
@@ -235,84 +237,18 @@ def _worker_count(paths: int) -> int:
     return max(1, min(cpus or 1, paths))
 
 
-class _NoiseDrawer:
-    """Fills node-major noise tiles from the paths' generators, _CHUNK paths at a time.
+def _draw_chunk(rngs, tile: np.ndarray, first: int, start: int) -> None:
+    """Draw rows start..start + _CHUNK - 1 of the node-major tile (width, rows, draws).
 
-    post(tile, first) hands tile (width, rows, draws), whose row i belongs
-    to path first + i, to the `helpers` drawing threads started here: path
-    i draws width * draws normals from rngs[i] alone, and tile[k, i - first]
-    is their k-th run of `draws`.  Each thread takes the tile's next chunk
-    until none is left; drain() has the calling thread take chunks too,
-    waits for the helpers and re-raises a drawing error.  `row` is the
-    longest width * draws a tile will have.  Leaving the `with` block stops
-    and joins the threads.  No draw depends on which thread makes it.
+    Row i is path first + i's: width * draws normals from rngs[first + i]
+    alone, in one standard_normal call, whose k-th run of `draws` is tile[k, i].
     """
-
-    def __init__(self, rngs, helpers: int, row: int):
-        self._rngs = rngs
-        self._scratch = [np.empty(_CHUNK * row) for _ in range(helpers + 1)]
-        self._lock = threading.Lock()
-        self._jobs: queue.Queue = queue.Queue()
-        self._errors: list[BaseException] = []
-        self._threads = [threading.Thread(target=self._serve, args=(scratch,), daemon=True)
-                         for scratch in self._scratch[1:]]
-        for thread in self._threads:
-            thread.start()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for _ in self._threads:
-            self._jobs.put(None)
-        for thread in self._threads:
-            thread.join()
-
-    def post(self, tile: np.ndarray, first: int) -> None:
-        self._posted = (tile, first, iter(range(0, tile.shape[1], _CHUNK)))
-        for _ in self._threads:
-            self._jobs.put(self._posted)
-
-    def drain(self) -> None:
-        try:
-            self._draw(*self._posted, self._scratch[0])
-        finally:
-            self._jobs.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def _serve(self, scratch: np.ndarray) -> None:
-        for job in iter(self._jobs.get, None):
-            try:
-                self._draw(*job, scratch)
-            except BaseException as exc:  # re-raised by drain
-                self._errors.append(exc)
-            finally:
-                self._jobs.task_done()
-
-    def _draw(self, tile: np.ndarray, first: int, starts, scratch: np.ndarray) -> None:
-        """Draw the tile's chunks not yet taken, one standard_normal call per path."""
-        width, rows, draws = tile.shape
-        while True:
-            with self._lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            stop = min(start + _CHUNK, rows)
-            chunk = scratch[:(stop - start) * width * draws].reshape(stop - start, width * draws)
-            for i, row in enumerate(chunk, first + start):
-                self._rngs[i].standard_normal(out=row)
-            tile[:, start:stop] = chunk.reshape(stop - start, width, draws).swapaxes(0, 1)
-
-
-def _draw_normals(rngs, out: np.ndarray, workers: int) -> None:
-    """Fill the node-major tile out (width, paths, draws) of every path, with `workers` threads.
-
-    The calling thread is one of them (see _NoiseDrawer).
-    """
-    with _NoiseDrawer(rngs, workers - 1, out.shape[0] * out.shape[2]) as drawer:
-        drawer.post(out, 0)
-        drawer.drain()
+    width, rows, draws = tile.shape
+    stop = min(start + _CHUNK, rows)
+    chunk = np.empty((stop - start, width * draws))
+    for i, row in enumerate(chunk, first + start):
+        rngs[i].standard_normal(out=row)
+    tile[:, start:stop] = chunk.reshape(stop - start, width, draws).swapaxes(0, 1)
 
 
 def psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -527,9 +463,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     population-wide Fortran-order arrays, and once the window's last block
     has passed them their moments are summed over all paths at once, with
     sX = e + x rebuilt and its initial copy taken from the held X0, so that
-    it stays bitwise frozen.  The next tile is drawn while this one
-    propagates (see _NoiseDrawer), so results depend only on (seeds,
-    substeps) and are bit-reproducible whatever the tiling or thread count.
+    it stays bitwise frozen.  The next tile is drawn on a thread pool, one
+    _draw_chunk job a chunk, while this one propagates; results depend only
+    on (seeds, substeps), bit for bit, whatever the tiling or thread count.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
@@ -553,9 +489,10 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     rngs = _path_generators(_seed_words(seeds))
     workers = _worker_count(count)
 
-    zeta = np.empty((1, count, n))  # a one-node tile, drawn in this thread
-    _draw_normals(rngs, zeta, 1)
-    spread0 = zeta[0] @ cov0_factor.T
+    zeta = np.empty((count, n))  # drawn in this thread
+    for rng, row in zip(rngs, zeta):
+        rng.standard_normal(out=row)
+    spread0 = zeta @ cov0_factor.T
     plant0 = mean0[None, :] + spread0  # X0
 
     kept = len(nodes)
@@ -610,9 +547,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         g_first = np.empty(count)
 
         rows = max(1, _TILE_FOOTPRINT // (dim + draws))
-        # Doubles per node of a window: the two tiles in flight, each
-        # drawing thread's scratch, the folded maps W_z and W_w, and, while
-        # they are folded, two products and one M_j.
+        # Doubles per node of a window: the two tiles in flight, the scratch
+        # of one chunk per drawing thread, the folded maps W_z and W_w, and,
+        # while they are folded, two products and one M_j.
         per_node = ((2 * rows + workers * _CHUNK) * draws + (dim + draws) * cols
                     + 3 * dim * dim)
         width = max(1, min(steps, _NOISE_BUDGET // per_node))
@@ -632,13 +569,32 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
             size = (q1 - q0) * (hi - lo) * draws
             return noise_buffers[i % 2][:size].reshape(q1 - q0, hi - lo, draws)
 
-        with _NoiseDrawer(rngs, workers - 1, width * draws) as drawer:
-            drawer.post(tile(0), 0)
-            drawer.drain()
+        def submit(pool, i: int) -> list:
+            """Submit tile i's chunks to the pool in path order, as (job, future) pairs."""
+            noise, first = tile(i), tiles[i][2]
+            jobs = [partial(_draw_chunk, rngs, noise, first, start)
+                    for start in range(0, noise.shape[1], _CHUNK)]
+            return [(job, pool.submit(job)) for job in jobs]
+
+        def finish(chunks: list) -> None:
+            """Draw here every chunk no pool thread has started, then wait for the rest."""
+            for job, future in chunks:
+                if future.cancel():
+                    job()
+            for _, future in chunks:
+                if not future.cancelled():
+                    future.result()  # re-raises a drawing error
+
+        # Imported here so that importing the package loads no logging.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            chunks = submit(pool, 0)
             for i, (q0, q1, lo, hi) in enumerate(tiles):
-                noise = tile(i)
+                finish(chunks)
                 if i + 1 < len(tiles):
-                    drawer.post(tile(i + 1), tiles[i + 1][2])
+                    chunks = submit(pool, i + 1)
+                noise = tile(i)
                 if lo == 0:
                     w_z = w_w = None  # before the window's operators are folded
                     w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q0, q1)
@@ -670,8 +626,6 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                         raise diverged(first_bad[1], first_bad[0])
                     for k in range(base, top):
                         accumulate(k, held[k - base].T)
-                if i + 1 < len(tiles):
-                    drawer.drain()
         del held, noise_buffers, w_z, w_w
 
         g_final = ((z[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
@@ -711,6 +665,13 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     )
 
 
+def check_ensemble(paths: int, base_seed: int) -> None:
+    """simulate_ensemble's ValueError unless paths >= 2 and base_seed is in [0, 2^64)."""
+    if paths < 2:
+        raise ValueError(f"need at least 2 paths, got {paths}")
+    _uint64_seed(base_seed, "base_seed")
+
+
 def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
                       base_seed: int, substeps_per_node: int = 4,
                       seeds: Sequence[int] | None = None,
@@ -728,10 +689,9 @@ def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
     `seeds` override serves tests: with paths=2 and two identical seeds the
     empirical variance is zero and every mean is that one path, bitwise.
     base_seed, and each entry of `seeds`, must be an int in [0, 2^64), or
-    ValueError names it.
+    ValueError names it (see check_ensemble).
     """
-    if paths < 2:
-        raise ValueError(f"need at least 2 paths, got {paths}")
+    check_ensemble(paths, base_seed)
     if seeds is None:
         seeds = _path_seeds(base_seed, np.arange(paths, dtype=np.uint64))
     elif len(seeds) != paths:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmemctl import ScenarioFormatError, checks, montecarlo
+from qmemctl import ScenarioFormatError, checks, filtering, montecarlo
 from qmemctl.cli import load_scenario, main
 
 REFERENCE = {
@@ -239,17 +239,38 @@ class TestFullPipeline:
         assert gates["cost_identity"]["limit"] == checks.identity_limit(5.0, 400)
         assert checks.failed(gates) == ["mc_P_relative_error"]
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_exits_with_error(self, tmp_path, capsys, seed):
+    @pytest.mark.parametrize("options, message", [
+        (["--paths", "50", "--seed", "-1"], "base_seed = -1 is not an int in [0, 2^64)"),
+        (["--paths", "50", "--seed", str(2**64)],
+         f"base_seed = {2**64} is not an int in [0, 2^64)"),
+        (["--paths", "1"], "stage 'montecarlo' failed: need at least 2 paths, got 1"),
+        (["--paths", "50", "--epsilon", "0"],
+         "stage 'decoherence' failed: epsilon * phi_star must be positive, got 0.0"),
+    ], ids=["-1", str(2**64), "paths-1", "epsilon-0"])
+    def test_out_of_range_seed_exits_with_error(self, tmp_path, capsys, monkeypatch,
+                                                options, message):
         # Such a seed used to be reduced mod 2^64 (2^64 ran seed 0) while
-        # summary.json recorded it unreduced.
+        # summary.json recorded it unreduced.  Every option is refused by the
+        # library's own rule before any Riccati solve.
+        monkeypatch.setattr(filtering, "solve_filter",
+                            lambda *args: pytest.fail("solve_filter ran"))
         scen = write_scenario(tmp_path / "s.json", steps=40)
         out = tmp_path / "out"
-        rc = main(["montecarlo", "--scenario", str(scen), "--out", str(out),
-                   "--paths", "50", "--seed", str(seed)])
+        rc = main(["montecarlo", "--scenario", str(scen), "--out", str(out), *options])
         assert rc == 1
-        assert f"base_seed = {seed} is not an int in [0, 2^64)" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter", "simulate", "decoherence"])
+    def test_options_checked_only_where_used(self, tmp_path, command):
+        # The path count and seed serve only the Monte Carlo, epsilon only
+        # the decoherence time.
+        scen = write_scenario(tmp_path / "s.json", steps=40)
+        options = ["--paths", "1", "--seed", "-1"]
+        if command != "decoherence":
+            options += ["--epsilon", "0"]
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out"),
+                     *options]) == 0
 
     def test_non_finite_cost_sets_exit_status(self, tmp_path, capsys, monkeypatch):
         simulate = montecarlo.simulate_ensemble

@@ -2,8 +2,10 @@ import dataclasses
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -126,6 +128,14 @@ def _run_bounded(fn, timeout=120.0):
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"]
+
+
+def _draw_on_pool(rngs, tile, first, workers):
+    """Draw every chunk of a tile on a pool of `workers` threads; re-raise a drawing error."""
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(montecarlo._draw_chunk, rngs, tile, first, start)
+                       for start in range(0, tile.shape[1], montecarlo._CHUNK)]:
+            future.result()
 
 
 def _splitmix64_int(value: int) -> int:
@@ -684,6 +694,56 @@ class TestThreadedNoise:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads_before
 
+    def test_one_block_draws_its_windows_in_stream_order(self, mc_setup, monkeypatch):
+        # 40 paths are one chunk of one block, so consecutive tiles hold the
+        # same paths: a tile submitted before the one before it is drawn
+        # would take those paths' normals out of order.  Each draw sleeps,
+        # releasing the GIL, so that two draws from one path would overlap.
+        spec, sys_m, _, _, _, gains = mc_setup
+        nodes = checkpoint_nodes(500, 10)
+        build = montecarlo._path_generators
+        overlaps = []
+
+        class Exclusive:
+            def __init__(self, rng):
+                self.rng, self.busy = rng, False
+
+            def standard_normal(self, out):
+                overlaps.append(self.busy)
+                self.busy = True
+                time.sleep(1e-4)
+                self.rng.standard_normal(out=out)
+                self.busy = False
+
+        monkeypatch.setattr(montecarlo, "_path_generators",
+                            lambda words: [Exclusive(rng) for rng in build(words)])
+
+        def simulate():
+            return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=40,
+                                     base_seed=5, nodes=nodes)
+
+        with monkeypatch.context() as patch:  # one tile: every path, every node
+            patch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 40)
+            patch.setattr(montecarlo, "_worker_count", lambda paths: 1)
+            reference = _run_bounded(simulate)
+
+        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 21)  # windows of 50 nodes
+        fold = montecarlo._node_operators
+        windows = []
+        monkeypatch.setattr(montecarlo, "_node_operators",
+                            lambda *args: windows.append(args[-1] - args[-2]) or fold(*args))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3, 4):
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda paths, w=workers: w)
+                windows.clear()
+                _assert_moments_identical(_run_bounded(simulate), reference)
+                assert len(windows) > 5, workers
+                assert not any(overlaps), workers
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_draw_calls_do_not_shorten_with_more_paths(self, mc_setup, monkeypatch):
         # Every path makes the same standard_normal calls whatever the
         # ensemble: 3000 paths are two path blocks, 300 a part of one.
@@ -748,12 +808,15 @@ class TestThreadedNoise:
             return rngs
 
         monkeypatch.setattr(montecarlo, "_path_generators", generators)
+        threads_before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
                 _run_bounded(lambda: simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0,
                                                        paths=50, base_seed=8,
                                                        nodes=checkpoint_nodes(500, 10)))
+        # raised while the next tile's chunks are in flight
+        assert threading.active_count() == threads_before
         node = min(poisoned) + 1
         assert str(err.value) == (
             f"non-finite path state (seed {derive_path_seed(8, named)}) at substep "
@@ -797,15 +860,16 @@ class TestThreadedNoise:
     @pytest.mark.parametrize("paths", [2, 2 * montecarlo._CHUNK + 5, 3 * montecarlo._CHUNK + 1])
     @pytest.mark.parametrize("width", [1, 4])
     def test_window_is_node_major(self, workers, paths, width):
-        # Path ranges of up to 3 threads, each crossing chunk boundaries
-        # when it holds more than one chunk of paths.
-        draws = 3
-        seeds = [derive_path_seed(17, i) for i in range(paths)]
+        # The tile's chunks, the last one short, drawn by up to 3 pool threads;
+        # its rows belong to paths 5 onwards.
+        draws, first = 3, 5
+        seeds = [derive_path_seed(17, i) for i in range(first + paths)]
+        rngs = [np.random.default_rng(s) for s in seeds]
         out = np.full((width, paths, draws), np.nan)
         threads_before = threading.active_count()
-        montecarlo._draw_normals([np.random.default_rng(s) for s in seeds], out, workers)
+        _draw_on_pool(rngs, out, first, workers)
         assert threading.active_count() == threads_before
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(seeds[first:]):
             stream = np.random.default_rng(seed).standard_normal(width * draws)
             for k in range(width):
                 assert np.array_equal(out[k, i], stream[k * draws:(k + 1) * draws]), (k, i)
@@ -817,11 +881,12 @@ class TestThreadedNoise:
 
         paths = 2 * montecarlo._CHUNK + 5
         rngs = [np.random.default_rng(i) for i in range(paths)]
-        rngs[paths // 2] = Broken()  # in the second of three path ranges
-        threads_before = threading.active_count()
-        with pytest.raises(RuntimeError, match="generator failed"):
-            montecarlo._draw_normals(rngs, np.empty((2, paths, 5)), 3)
-        assert threading.active_count() == threads_before
+        rngs[paths // 2] = Broken()  # in the second of three chunks
+        for workers in (1, 2, 3):
+            threads_before = threading.active_count()
+            with pytest.raises(RuntimeError, match="generator failed"):
+                _draw_on_pool(rngs, np.empty((2, paths, 5)), 0, workers)
+            assert threading.active_count() == threads_before, workers
 
 
 class TestWeakConvergence:
