@@ -25,7 +25,8 @@ COST_IDENTITY_RTOL = 1e-6
 Z_LIMIT = 3.0
 # Relative error of the sampled error covariance against P.
 P_REL_LIMIT = 0.05
-# Checkpoints of the Monte Carlo comparison; one may miss the x e' limit.
+# Checkpoints of the Monte Carlo comparison, the nodes simulate_ensemble
+# accumulates by default; one may miss the x e' limit.
 CHECKPOINTS = 10
 
 

@@ -37,7 +37,6 @@ from .errors import PipelineError, QmemctlError, ScenarioFormatError
 DEFAULT_PATHS = 10_000
 DEFAULT_SEED = 1_234_567
 DEFAULT_EPSILON = 0.1
-DEFAULT_SUBSTEPS = 4
 
 COMMANDS = ("validate", "filter", "control", "simulate", "montecarlo", "decoherence", "full")
 
@@ -367,17 +366,14 @@ def run(args: argparse.Namespace) -> int:
     if args.command in ("montecarlo", "full"):
         gains = montecarlo.gain_schedule(filt, ctrl)
         moments = _stage("montecarlo", montecarlo.simulate_ensemble,
-                         sys_m, gains, spec.mean0, spec.cov0, paths, seed,
-                         DEFAULT_SUBSTEPS,
-                         nodes=montecarlo.checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
-        rows = _stage("montecarlo", montecarlo.cross_moment_check,
-                      moments, closed, filt, checks.CHECKPOINTS)
+                         sys_m, gains, spec.mean0, spec.cov0, paths, seed)
+        rows = _stage("montecarlo", montecarlo.cross_moment_check, moments, closed, filt)
         delta_ode = float(closed.Delta[-1])
         gates.update(checks.monte_carlo(moments, rows, delta_ode))
         summary["montecarlo"] = {
             "paths": paths,
             "base_seed": seed,
-            "substeps_per_node": DEFAULT_SUBSTEPS,
+            "substeps_per_node": montecarlo.SUBSTEPS_PER_NODE,
             "delta_mc": moments.deviation_mean,
             "delta_se": moments.deviation_se,
             "delta_ode": delta_ode,

@@ -131,16 +131,12 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _has_shape(spec_value: np.ndarray, shape: tuple[int, ...]) -> bool:
-    return spec_value.shape == shape
-
-
 def validate_spec(spec: ScenarioSpec) -> ValidationReport:
     """Check every structural invariant of a scenario and report violations.
 
     Never raises; each problem becomes a report entry with the offending
     quantity and the measured residual.  Checks that depend on a matrix with
-    a wrong shape are skipped for that matrix.
+    a wrong shape or a non-finite entry are skipped for that matrix.
     """
     bad: list[Violation] = []
 
@@ -171,21 +167,26 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
         "F": (s, n),
         "Pi": (d, d),
         "cov0": (n, n),
+        "mean0": (n,),
     }
-    shape_ok = {}
+    # usable: the field has its shape and finite entries, so the checks
+    # below that read it can run.
+    usable = {}
     for name, shape in shapes.items():
         value = getattr(spec, name)
-        shape_ok[name] = _has_shape(value, shape)
-        if not shape_ok[name]:
+        usable[name] = value.shape == shape
+        if not usable[name]:
             flag(f"{name} shape", f"expected {shape}, got {value.shape}")
-    if spec.mean0.shape != (n,):
-        flag("mean0 shape", f"expected ({n},), got {spec.mean0.shape}")
+        non_finite = int(np.count_nonzero(~np.isfinite(value)))
+        if non_finite:
+            usable[name] = False
+            flag(f"{name} finite", f"{non_finite} non-finite entries")
 
-    if shape_ok["R"]:
+    if usable["R"]:
         res = _maxabs(spec.R - spec.R.T)
         if res > SYMMETRY_RTOL * max(1.0, _maxabs(spec.R)):
             flag("R symmetric", f"max |R - R'| = {res:.3e}", res)
-    if shape_ok["Pi"] and d > 0:
+    if usable["Pi"] and d > 0:
         res = _maxabs(spec.Pi - spec.Pi.T)
         if res > SYMMETRY_RTOL * max(1.0, _maxabs(spec.Pi)):
             flag("Pi symmetric", f"max |Pi - Pi'| = {res:.3e}", res)
@@ -193,7 +194,7 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
             eigs = np.linalg.eigvalsh(0.5 * (spec.Pi + spec.Pi.T))
             if eigs[0] <= RANK_RTOL * max(eigs[-1], 0.0):
                 flag("Pi not positive-definite", f"min eigenvalue = {eigs[0]:.3e}", eigs[0])
-    if shape_ok["cov0"]:
+    if usable["cov0"]:
         res = _maxabs(spec.cov0 - spec.cov0.T)
         if res > SYMMETRY_RTOL * max(1.0, _maxabs(spec.cov0)):
             flag("cov0 symmetric", f"max |cov0 - cov0'| = {res:.3e}", res)
@@ -203,12 +204,12 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
                 flag("cov0 not positive-semidefinite", f"min eigenvalue = {eigs[0]:.3e}", eigs[0])
 
     for name, rank in (("D", r), ("F", s)):
-        if shape_ok[name]:
+        if usable[name]:
             sv = np.linalg.svd(getattr(spec, name), compute_uv=False)
             if sv.size == 0 or sv[min(rank, sv.size) - 1] <= RANK_RTOL * sv[0]:
                 flag(f"{name} full row rank", f"singular values {sv}", sv[-1] if sv.size else 0.0)
 
-    if shape_ok["D"] and m > 0 and m % 2 == 0:
+    if usable["D"] and m > 0 and m % 2 == 0:
         _, j = build_structure_matrices(2, m)
         djd = spec.D @ j @ spec.D.T
         scale = float(np.linalg.norm(spec.D, 2)) ** 2 * float(np.linalg.norm(j, 2))

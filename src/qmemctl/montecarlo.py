@@ -51,10 +51,10 @@ Which thread draws a path cannot change its draws, each path's stream is
 consumed in order whatever the tiling, and a row's products do not depend
 on the other rows of its block, so every output is bit-identical whatever
 the thread count, block or window.  Moments are accumulated only at the
-requested grid nodes (see checkpoint_nodes); the state is checked for
-finiteness at every node.  The oracle returns ensemble statistics only
-(simulate_ensemble); two paths with one seed give a single path's
-trajectory as their mean.
+requested grid nodes, by default the checkpoint_nodes cross_moment_check
+compares; the state is checked for finiteness at every node.  The oracle
+returns ensemble statistics only (simulate_ensemble); two paths with one
+seed give a single path's trajectory as their mean.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ import numpy as np
 from . import checks
 from .errors import DivergenceError, GridMismatchError
 from .ode import lattice_values
+
+# Euler-Maruyama substeps per grid interval of the gain schedules.
+SUBSTEPS_PER_NODE = 4
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -338,9 +341,9 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _node_indices(nodes, steps: int) -> np.ndarray:
-    """Validated, sorted, de-duplicated node indices; None means every node."""
+    """Validated, sorted, de-duplicated node indices; None means the checkpoints."""
     if nodes is None:
-        return np.arange(steps + 1)
+        return checkpoint_nodes(steps, checks.CHECKPOINTS)
     idx = np.unique(np.asarray(nodes, dtype=int).reshape(-1))
     if idx.size == 0 or idx[0] < 0 or idx[-1] > steps:
         raise ValueError(f"nodes must be a non-empty subset of 0..{steps}, got {nodes!r}")
@@ -459,7 +462,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     finiteness check runs at every node; a block stops at its first
     non-finite node, and the window's earliest such node, and its first
     path, is reported once every block has run.  The block's rows at the
-    accumulated nodes (`nodes`, default every node) are copied into
+    accumulated nodes (`nodes`, default the checkpoints) are copied into
     population-wide Fortran-order arrays, and once the window's last block
     has passed them their moments are summed over all paths at once, with
     sX = e + x rebuilt and its initial copy taken from the held X0, so that
@@ -673,14 +676,14 @@ def check_ensemble(paths: int, base_seed: int) -> None:
 
 
 def simulate_ensemble(sys, gains: GainSchedule, mean0, cov0, paths: int,
-                      base_seed: int, substeps_per_node: int = 4,
+                      base_seed: int, substeps_per_node: int = SUBSTEPS_PER_NODE,
                       seeds: Sequence[int] | None = None,
                       nodes: Sequence[int] | None = None) -> SampleMoments:
     """Simulate an ensemble and accumulate empirical moments per node.
 
     Moments are accumulated at the gain-grid node indices `nodes` (default
-    every node; cross_moment_check needs only checkpoint_nodes(steps,
-    checkpoints)), and the terminal scalars at the horizon either way.  A
+    checkpoint_nodes(steps, checks.CHECKPOINTS), the nodes cross_moment_check
+    compares), and the terminal scalars at the horizon either way.  A
     non-finite path state raises DivergenceError at the first node, requested
     or not, where it is seen.  The result is bit-identical for any thread
     count, and for any `nodes` at the nodes both runs accumulate.
@@ -725,37 +728,25 @@ def _rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
     return diff / denom
 
 
-def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
-                       checkpoints: int = checks.CHECKPOINTS
+def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol
                        ) -> tuple[CheckpointResidual, ...]:
     """Measure the ensemble against P, T and the zero cross-correlation.
 
-    Returns one row per checkpoint: the largest z-score (checks.z_score) of
-    the x e' residual and of the mean estimation error, and the relative
-    errors of the sampled error covariance against P and of the sampled
-    controller moment against T.  Measurement only: nothing here applies a
-    limit, and checks.monte_carlo makes every verdict from the rows.  A
-    non-finite residual gives an inf z-score and a NaN or inf relative error.
-    Checkpoints are checkpoint_nodes(steps, checkpoints) of the filter grid
-    (first and last included); the ensemble must have accumulated each of
-    them, so pass the same nodes to simulate_ensemble or let it default to
-    every node.
-    GridMismatchError is raised when the ensemble's nodes do not lie on the
-    filter and closed-loop grids or a checkpoint was not accumulated.
+    Returns one row per node in moments.nodes (the checkpoints unless
+    simulate_ensemble was given other nodes): the largest z-score
+    (checks.z_score) of the x e' residual and of the mean estimation error,
+    and the relative errors of the sampled error covariance against P and of
+    the sampled controller moment against T.  Measurement only: nothing here
+    applies a limit, and checks.monte_carlo makes every verdict from the
+    rows.  A non-finite residual gives an inf z-score and a NaN or inf
+    relative error.  GridMismatchError is raised when the ensemble's nodes
+    do not lie on the filter and closed-loop grids.
     """
     grid = filter_sol.times
     if moments.nodes[-1] >= len(grid) or not np.array_equal(moments.times, grid[moments.nodes]):
         raise GridMismatchError("ensemble and filter grids differ")
     if not np.array_equal(grid, closedloop_sol.times):
         raise GridMismatchError("ensemble and closed-loop grids differ")
-
-    nodes = checkpoint_nodes(len(grid) - 1, checkpoints)
-    missing = np.setdiff1d(nodes, moments.nodes)
-    if missing.size:
-        raise GridMismatchError(
-            f"checkpoint nodes {missing.tolist()} were not accumulated by the ensemble"
-        )
-    slots = np.searchsorted(moments.nodes, nodes)
 
     e_mean = moments.mean_e
     e_mean_se = moments.e_mean_se()
@@ -773,5 +764,5 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol,
             P_rel_err=_rel_err(e_second[i], filter_sol.P_full[node]),
             T_rel_err=_rel_err(x_second[i], closedloop_sol.T[node]),
         )
-        for i, node in zip(slots, nodes)
+        for i, node in enumerate(moments.nodes)
     )

@@ -8,7 +8,6 @@ import pytest
 from conftest import reference_spec
 from qmemctl import (
     checks,
-    checkpoint_nodes,
     cross_moment_check,
     derive_system_matrices,
     gain_schedule,
@@ -33,8 +32,7 @@ def ref500():
 def _healthy_ensemble(ref500):
     spec, sys_m, filt, ctrl, _ = ref500
     return simulate_ensemble(sys_m, gain_schedule(filt, ctrl), spec.mean0, spec.cov0,
-                             paths=200, base_seed=3,
-                             nodes=checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
+                             paths=200, base_seed=3)
 
 
 class TestIdentityLimit:
@@ -82,8 +80,7 @@ class TestMonteCarloGates:
             warnings.simplefilter("error", RuntimeWarning)
             moments = simulate_ensemble(
                 sys_m, GainSchedule(gains.times, gains.K, c, gains.Pi), spec.mean0,
-                spec.cov0, paths=2000, base_seed=1_234_567,
-                nodes=checkpoint_nodes(spec.steps, checks.CHECKPOINTS))
+                spec.cov0, paths=2000, base_seed=1_234_567)
             rows = cross_moment_check(moments, closed, filt)
             gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert moments.deviation_mean == np.inf and np.isnan(moments.deviation_se)

@@ -133,6 +133,17 @@ class TestValidate:
         report = validate_spec(_spec(n=3, m=2))
         assert not report.ok
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["R", "M", "N", "D", "F", "Pi", "mean0", "cov0"])
+    def test_non_finite_entry_reported_not_raised(self, name, bad):
+        value = np.array(getattr(_spec(), name))
+        value.flat[0] = bad
+        spec = _spec(**{name: value})
+        report = validate_spec(spec)
+        assert [v.invariant for v in report.violations] == [f"{name} finite"]
+        with pytest.raises(InvalidScenarioError, match=f"{name} finite"):
+            derive_system_matrices(spec)
+
 
 class TestPhysicalRealizability:
     def test_valid_scenarios_have_zero_residual(self, scenario_factory):

@@ -245,9 +245,10 @@ class TestPsdSqrt:
 
 
 def _one_path(sys_m, gains, mean0, cov0, seed, substeps_per_node=4):
-    """Two paths with one seed: their means are that path, bitwise."""
+    """Two paths with one seed, at every node: their means are that path, bitwise."""
     return simulate_ensemble(sys_m, gains, mean0, cov0, paths=2, base_seed=0,
-                             substeps_per_node=substeps_per_node, seeds=[seed, seed])
+                             substeps_per_node=substeps_per_node, seeds=[seed, seed],
+                             nodes=np.arange(len(gains.times)))
 
 
 class TestSamplePath:
@@ -373,24 +374,25 @@ class TestEnsemble:
 
     def test_error_mean_residual_shrinks_with_paths(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
-        small = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=1000,
-                                  base_seed=99)
-        large = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4000,
-                                  base_seed=99)
         # RMS over checkpoints and entries of the estimator-mean residual;
         # quadrupling paths should halve it, modulo sampling noise.
         idx = np.linspace(0, len(gains.times) - 1, 10).astype(int)
-        rms_small = np.sqrt(np.mean(small.mean_e[idx] ** 2))
-        rms_large = np.sqrt(np.mean(large.mean_e[idx] ** 2))
+        small = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=1000,
+                                  base_seed=99, nodes=idx)
+        large = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4000,
+                                  base_seed=99, nodes=idx)
+        rms_small = np.sqrt(np.mean(small.mean_e ** 2))
+        rms_large = np.sqrt(np.mean(large.mean_e ** 2))
         assert 0.25 <= rms_large / rms_small <= 1.0
 
     def test_checkpoint_nodes_match_all_node_ensemble(self, mc_setup):
         spec, sys_m, filt, _, closed, gains = mc_setup
         nodes = checkpoint_nodes(500, 10)
         full = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
-                                 base_seed=2024)
+                                 base_seed=2024, nodes=np.arange(501))
+        # the default accumulates the checkpoints
         sparse = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
-                                   base_seed=2024, nodes=nodes)
+                                   base_seed=2024)
         # the horizon need not be a requested node for the terminal scalars
         inner = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
                                   base_seed=2024, nodes=[250, 0])
@@ -406,7 +408,8 @@ class TestEnsemble:
                           "smoothing_sqerr_se", "control_energy_mean",
                           "control_energy_se", "cost_mean", "cost_se"):
                 assert getattr(part, field) == getattr(full, field), field
-        assert cross_moment_check(sparse, closed, filt) == cross_moment_check(full, closed, filt)
+        full_rows = cross_moment_check(full, closed, filt)
+        assert cross_moment_check(sparse, closed, filt) == tuple(full_rows[k] for k in nodes)
 
     def test_rejects_nodes_off_grid(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
@@ -426,7 +429,7 @@ class TestEnsemble:
                                   base_seed=8, nodes=nodes)
             with pytest.raises(DivergenceError) as dense:
                 simulate_ensemble(sys_m, huge, spec.mean0, spec.cov0, paths=4,
-                                  base_seed=8)
+                                  base_seed=8, nodes=np.arange(501))
         message = str(sparse.value)
         assert message == str(dense.value)
         found = re.search(r"seed (\d+)\) at substep (\d+)", message)
@@ -437,7 +440,7 @@ class TestEnsemble:
         assert 0 < substep < 4 * nodes[1] and substep % 4 == 0
         assert (substep // 4) not in nodes
 
-    @pytest.mark.parametrize("nodes", [None, checkpoint_nodes(500, 10)])
+    @pytest.mark.parametrize("nodes", [None, np.arange(501)])
     def test_divergence_raises_without_overflow_warnings(self, mc_setup, nodes):
         spec, sys_m, _, _, _, gains = mc_setup
         huge = GainSchedule(gains.times, np.full_like(gains.K, 1e6), gains.c, gains.Pi)
@@ -466,7 +469,7 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
     steps = len(gains.times) - 1
     total = steps * sub
     h = float(gains.times[-1] - gains.times[0]) / total
-    nodes = np.unique(np.arange(steps + 1) if nodes is None else nodes)
+    nodes = np.unique(nodes)
     rngs = [np.random.default_rng(s) for s in seeds]
     zeta = np.array([rng.standard_normal(n) for rng in rngs])
     noise = np.array([rng.standard_normal((total, m)) for rng in rngs])
@@ -564,12 +567,14 @@ class TestNodeOperators:
         windows = []
         monkeypatch.setattr(montecarlo, "_node_operators",
                             lambda *args: windows.append(args[-1] - args[-2]) or fold(*args))
-        if nodes == "checkpoints":
+        if nodes is None:
+            nodes = np.arange(spec.steps + 1)
+        elif nodes == "checkpoints":
             nodes = checkpoint_nodes(spec.steps, 10)
         seeds = [derive_path_seed(31, i) for i in range(paths)]
         folded = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
                                    base_seed=31, substeps_per_node=sub, nodes=nodes)
-        accumulated = set(range(spec.steps + 1) if nodes is None else np.asarray(nodes).tolist())
+        accumulated = set(np.asarray(nodes).tolist())
         expected, q0 = [], 0
         while q0 < spec.steps:
             q1, held = q0, 0
@@ -942,23 +947,10 @@ class TestCrossMomentCheck:
         assert gates["mc_P_relative_error"]["value"] <= 0.05
         assert np.max([row.T_rel_err for row in rows]) <= 0.05
 
-    def test_unaccumulated_checkpoint_rejected(self, mc_setup):
-        spec, sys_m, filt, ctrl, closed, gains = mc_setup
-        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
-                                    base_seed=1, nodes=checkpoint_nodes(500, 10))
-        assert len(cross_moment_check(moments, closed, filt, 10)) == 10
-        with pytest.raises(GridMismatchError, match="not accumulated"):
-            cross_moment_check(moments, closed, filt, 5)
-
     @pytest.mark.parametrize("checkpoints", [0, 1])
-    def test_fewer_than_two_checkpoints_rejected(self, mc_setup, checkpoints):
-        spec, sys_m, filt, ctrl, closed, gains = mc_setup
+    def test_fewer_than_two_checkpoints_rejected(self, checkpoints):
         with pytest.raises(ValueError, match="checkpoints"):
             checkpoint_nodes(500, checkpoints)
-        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
-                                    base_seed=1)
-        with pytest.raises(ValueError, match="checkpoints"):
-            cross_moment_check(moments, closed, filt, checkpoints)
 
     def test_two_checkpoints_are_the_ends(self):
         assert checkpoint_nodes(500, 2).tolist() == [0, 500]
