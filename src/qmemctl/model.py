@@ -154,7 +154,9 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
         flag("1 <= r <= m/2", f"r = {r}, m = {m}")
     if not (1 <= s <= n):
         flag("1 <= s <= n", f"s = {s}, n = {n}")
-    if not spec.tau > 0:
+    if not np.isfinite(spec.tau):
+        flag("tau finite", f"tau = {spec.tau}")
+    elif not spec.tau > 0:
         flag("tau positive", f"tau = {spec.tau}")
     if spec.steps < 1:
         flag("steps >= 1", f"steps = {spec.steps}")

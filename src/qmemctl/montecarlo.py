@@ -32,15 +32,17 @@ stream is exactly numpy's default_rng(seed)'s.  The generators are built
 without a SeedSequence per path: one uint32 array pass computes the four
 PCG64 seed words SeedSequence(seed) would give for every seed (_seed_words),
 and each path's PCG64 takes its row of words (_path_generators).  The noise is
-drawn in tiles: a block of paths by a window of whole node intervals.  The
-block is fixed by the model's shapes (_TILE_FOOTPRINT) and the window by
-_NOISE_BUDGET, so neither the memory the noise holds nor the length of a
-draw call depends on the path count.  A tile is laid out node-major,
-(nodes, paths, draws), so that the noise product of each node reads one
-contiguous block.  The maps of a window are folded once, and every block
-advances through the window with two matrix products a node; its rows at the
-accumulated nodes are copied into population-wide arrays, so every moment
-sum still runs over all paths at once.  The path chunks of the next tile
+drawn in tiles: a block of paths by a window of whole node intervals
+(_tile_shape), 1 250 paths by 195 nodes on the reference with two drawing
+threads.  The block is fixed by the model's shapes (_TILE_FOOTPRINT) and the
+window by _NOISE_BUDGET, so neither the memory the noise holds (about 31 MB
+for both tiles in flight on the reference) nor the length of a draw call
+depends on the path count.  A tile is laid out node-major, (nodes, paths,
+draws), so that the noise product of each node reads one contiguous block.
+The maps of a window are folded once, and every block advances through the
+window with two matrix products a node; its rows at the accumulated nodes
+are copied into population-wide arrays, so every moment sum still runs over
+all paths at once.  The path chunks of the next tile
 are drawn on a thread pool while the calling thread propagates the current
 one, since numpy's generators release the GIL while filling; before it
 propagates a tile, the calling thread draws the tile's chunks that no pool
@@ -52,9 +54,10 @@ consumed in order whatever the tiling, and a row's products do not depend
 on the other rows of its block, so every output is bit-identical whatever
 the thread count, block or window.  Moments are accumulated only at the
 requested grid nodes, by default the checkpoint_nodes cross_moment_check
-compares; the state is checked for finiteness at every node.  The oracle
-returns ensemble statistics only (simulate_ensemble); two paths with one
-seed give a single path's trajectory as their mean.
+compares; the state is checked for finiteness at every node, by one sum
+that screens the whole block.  The oracle returns ensemble statistics only
+(simulate_ensemble); two paths with one seed give a single path's
+trajectory as their mean.
 """
 
 from __future__ import annotations
@@ -84,23 +87,26 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 # Noise is drawn and propagated in tiles of a block of paths by a window of
-# nodes.  A block has rows paths with rows (4n + s m) ~ _TILE_FOOTPRINT
-# doubles, one node's state and noise for the block, so that the node's two
-# products run on data still in cache (2 500 paths on the reference, 625 at
-# n = 8).  The block follows from the model's shapes alone, never from the
-# path or thread count.  A row's products do not depend on the other rows of
-# its block (the BLAS computes each output row from its own input row, which
-# TestThreadedNoise pins), so no output changes by a bit with the block.
-_TILE_FOOTPRINT = 40_000
+# nodes (_tile_shape).  A block has rows paths with rows (4n + s m) ~
+# _TILE_FOOTPRINT doubles, one node's state and noise for the block, so that
+# the node's two products run on data still in cache (1 250 paths on the
+# reference, 312 at n = 8).  The block follows from the model's shapes alone,
+# never from the path or thread count.  A row's products do not depend on the
+# other rows of its block (the BLAS computes each output row from its own
+# input row, which TestThreadedNoise pins), so no output changes by a bit
+# with the block.
+_TILE_FOOTPRINT = 20_000
 
 # Doubles that the two noise tiles in flight (the one propagated and the one
 # being drawn), the chunks' scratch and one window's folded maps
 # hold together; this sets the window width, unless one node interval alone
-# is larger.  Neither it nor the block depends on the path count, so a long
-# grid or a large ensemble needs no more noise memory than a short one, and
-# every draw call is as long at 300 paths as at 30 000.  No per-path stream,
-# no bit of a map and no bit of any output depends on it.
-_NOISE_BUDGET = 1 << 23
+# is larger (32 MB: 195 nodes on the reference and 141 at n = 8 with two
+# drawing threads, so a path's draw call takes 1 560 and 4 512 normals).
+# Neither it nor the block depends on the path count, so a long grid or a
+# large ensemble needs no more noise memory than a short one, and every draw
+# call is as long at 300 paths as at 30 000.  No per-path stream, no bit of a
+# map and no bit of any output depends on it.
+_NOISE_BUDGET = 1 << 22
 
 # Accumulated nodes a window may reach: each holds a copy of every path's
 # state until the window's last block has passed it, so this bounds that
@@ -238,6 +244,23 @@ def _worker_count(paths: int) -> int:
     """One noise-drawing thread per CPU this process may run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, paths))
+
+
+def _tile_shape(dim: int, draws: int, cols: int, workers: int, steps: int) -> tuple[int, int]:
+    """(rows, width): the paths of a block and the nodes of a window of the noise.
+
+    dim is the state's length, draws a node's normals and cols a row's
+    length with its energy terms, per path; workers is the drawing thread
+    count and steps the grid's.  Only the window depends on workers and
+    steps, and neither on the path count.
+    """
+    rows = max(1, _TILE_FOOTPRINT // (dim + draws))
+    # Doubles per node of a window: the two tiles in flight, the scratch of
+    # one chunk per drawing thread, the folded maps W_z and W_w, and, while
+    # they are folded, two products and one M_j.
+    per_node = ((2 * rows + workers * _CHUNK) * draws + (dim + draws) * cols
+                + 3 * dim * dim)
+    return rows, max(1, min(steps, _NOISE_BUDGET // per_node))
 
 
 def _draw_chunk(rngs, tile: np.ndarray, first: int, start: int) -> None:
@@ -433,10 +456,17 @@ def _windows(steps: int, width: int, nodes: np.ndarray) -> list[tuple[int, int]]
 
 
 def _first_non_finite(z: np.ndarray) -> int:
-    """Index of the first row of z with a non-finite entry, or -1."""
-    if np.isfinite(z).all():
+    """Index of the first row of z with a non-finite entry, or -1.
+
+    One sum screens the whole of z: a NaN or inf entry always makes it
+    non-finite, and only then are the rows searched.  A sum of finite entries
+    that overflows is searched too, and finds none.  The caller silences the
+    sum's overflow, and the NaN of inf - inf, with np.errstate.
+    """
+    if np.isfinite(z.sum()):
         return -1
-    return int(np.nonzero(~np.isfinite(z).all(axis=1))[0][0])
+    rows = np.nonzero(~np.isfinite(z).all(axis=1))[0]
+    return int(rows[0]) if rows.size else -1
 
 
 def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
@@ -453,15 +483,15 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     U = c x, rewritten for e.
 
     The noise comes in tiles, a block of paths by a window of nodes (see
-    _TILE_FOOTPRINT and _NOISE_BUDGET), taken window by window and, within
-    a window, block by block; each window's maps are folded once, with the
-    substep h of the whole grid and sqrt(Pi) computed here.  A block's
-    state lives in preallocated Fortran-order buffers, so the state and the
-    energy terms are contiguous column blocks; between tiles each path
-    keeps only z, its summed energy squares and its first energy rate.  The
-    finiteness check runs at every node; a block stops at its first
-    non-finite node, and the window's earliest such node, and its first
-    path, is reported once every block has run.  The block's rows at the
+    _tile_shape), taken window by window and, within a window, block by
+    block; each window's maps are folded once, with the substep h of the
+    whole grid and sqrt(Pi) computed here.  A block's state lives in
+    preallocated Fortran-order buffers, so the state and the energy terms
+    are contiguous column blocks; between tiles each path keeps only z, its
+    summed energy squares and its first energy rate.  The finiteness check,
+    one sum screening the block's state, runs at every node; a block stops
+    at its first non-finite node, and the window's earliest such node, and
+    its first path, is reported once every block has run.  The block's rows at the
     accumulated nodes (`nodes`, default the checkpoints) are copied into
     population-wide Fortran-order arrays, and once the window's last block
     has passed them their moments are summed over all paths at once, with
@@ -549,13 +579,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         squares = np.zeros((count, cols - dim), order="F")
         g_first = np.empty(count)
 
-        rows = max(1, _TILE_FOOTPRINT // (dim + draws))
-        # Doubles per node of a window: the two tiles in flight, the scratch
-        # of one chunk per drawing thread, the folded maps W_z and W_w, and,
-        # while they are folded, two products and one M_j.
-        per_node = ((2 * rows + workers * _CHUNK) * draws + (dim + draws) * cols
-                    + 3 * dim * dim)
-        width = max(1, min(steps, _NOISE_BUDGET // per_node))
+        rows, width = _tile_shape(dim, draws, cols, workers, steps)
         block = min(rows, count)
         windows = _windows(steps, width, nodes)
         tiles = [(q0, q1, lo, min(lo + block, count))

@@ -144,6 +144,13 @@ class TestValidate:
         with pytest.raises(InvalidScenarioError, match=f"{name} finite"):
             derive_system_matrices(spec)
 
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tau_reported(self, tau):
+        spec = _spec(tau=tau)
+        assert [v.invariant for v in validate_spec(spec).violations] == ["tau finite"]
+        with pytest.raises(InvalidScenarioError, match="tau finite"):
+            derive_system_matrices(spec)
+
 
 class TestPhysicalRealizability:
     def test_valid_scenarios_have_zero_residual(self, scenario_factory):

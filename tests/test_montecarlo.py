@@ -411,6 +411,15 @@ class TestEnsemble:
         full_rows = cross_moment_check(full, closed, filt)
         assert cross_moment_check(sparse, closed, filt) == tuple(full_rows[k] for k in nodes)
 
+    def test_reproduces_the_benchmark_pin(self, mc_setup):
+        # The benchmark's mc_ref inputs (the reference at 500 steps, 10 000
+        # paths, seed 1 234 567) and its pinned delta_mc: any change to the
+        # noise streams or their order moves it.
+        spec, sys_m, _, _, _, gains = mc_setup
+        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10_000,
+                                    base_seed=1_234_567)
+        assert moments.deviation_mean == pytest.approx(2.3920878490101494, rel=1e-8, abs=0)
+
     def test_rejects_nodes_off_grid(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
         for nodes in ([0, 501], [-1, 3], []):
@@ -527,13 +536,13 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
 
 class TestNodeOperators:
     # (scenario, substeps, window budget in node intervals, nodes).  The
-    # random draws cover d = 0, 1, 2 at each n; a budget of 0.5 is smaller
-    # than one node interval, so each window still holds one; 3 intervals
-    # over 100 steps leave a last window of one node.  A node interval's
-    # share of the budget is the noise of two tiles of a full path block,
-    # each drawing thread's scratch and its operators.  A window also ends
-    # before the accumulated node that would be its (_HELD_NODES + 1)-th, so
-    # with every node accumulated (nodes None) it holds at most that many.
+    # random draws cover d = 0, 1, 2 at each n; the budget is forced through
+    # _tile_shape as the whole node intervals it holds, at least one (None
+    # keeps the shipped shape, a window of the whole grid here), so a budget
+    # of 0.5 still gives windows of one node; 3 intervals over 100 steps
+    # leave a last window of one node.  A window also ends before the
+    # accumulated node that would be its (_HELD_NODES + 1)-th, so with every
+    # node accumulated (nodes None) it holds at most that many.
     CASES = [
         (("random", 2, 2, 11), 1, None, None),      # d = 0
         (("random", 2, 2, 1), 8, 1, None),          # d = 1
@@ -556,13 +565,10 @@ class TestNodeOperators:
         paths = 12
         width = spec.steps
         if budget is not None:
-            dim, draws = 4 * spec.n, sub * spec.m
-            rows = montecarlo._TILE_FOOTPRINT // (dim + draws)
-            scratch = montecarlo._worker_count(paths) * montecarlo._CHUNK
-            per_node = ((2 * rows + scratch) * draws + (dim + draws) * (dim + sub * spec.d)
-                        + 3 * dim * dim)
-            monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", int(budget * per_node))
             width = max(1, int(budget))
+            shape = montecarlo._tile_shape
+            monkeypatch.setattr(montecarlo, "_tile_shape",
+                                lambda *args: (shape(*args)[0], width))
         fold = montecarlo._node_operators
         windows = []
         monkeypatch.setattr(montecarlo, "_node_operators",
@@ -595,7 +601,7 @@ class TestNodeOperators:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * scale, field.name
 
     def test_peak_memory_below_two_noise_windows(self, mc_setup, monkeypatch):
-        # 6000 paths are three path blocks of the reference shapes, so two
+        # 6000 paths are five path blocks of the reference shapes, so two
         # tiles are in flight at every tile boundary.
         spec, sys_m, _, _, _, gains = mc_setup
         budget = 1 << 21  # doubles: 16 MB
@@ -629,7 +635,7 @@ class TestNodeOperators:
         assert peak < 2 * 8 * budget
 
     def test_peak_memory_does_not_grow_with_the_tiles(self, monkeypatch):
-        # 16 substeps make a path block 1000 paths, so both ensembles fill
+        # 16 substeps make a path block 500 paths, so both ensembles fill
         # whole blocks and their tiles are the same size: the peaks differ
         # by the per-path state alone, the generators and at most 8 (4n + s d)
         # doubles a path (z, its copy y, the held checkpoint copies, the
@@ -659,25 +665,75 @@ class TestNodeOperators:
         assert peaks[1] - peaks[0] <= generator_bytes + state_bytes
 
 
+class TestTileShape:
+    # The shipped constants at the benchmark's Monte Carlo shapes: the
+    # reference at mc_ref's 500 steps and the n = 8 scenario at 2000 steps,
+    # with one drawing thread and with two.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scenario, steps", [("reference", 500), ("n8", 2000)])
+    def test_shipped_tiles_fit_the_budget_and_keep_draw_calls_long(self, scenario, steps,
+                                                                   workers):
+        spec = _spec(steps=steps) if scenario == "reference" else n8_spec(1, steps)
+        sub = montecarlo.SUBSTEPS_PER_NODE
+        dim, draws = 4 * spec.n, sub * spec.m
+        rows, width = montecarlo._tile_shape(dim, draws, dim + sub * spec.d, workers, steps)
+        assert 2 * rows * width * draws <= 1 << 22  # both tiles in flight, in doubles
+        assert width * draws >= 1500  # normals a path draws in one call
+
+    def test_window_clamped_to_the_grid_and_to_one_node(self):
+        assert montecarlo._tile_shape(8, 8, 12, 2, 10)[1] == 10
+        assert montecarlo._tile_shape(20_000, 20_000, 20_000, 2, 10) == (1, 1)
+
+    def test_screen_passes_finite_entries_whose_sum_overflows(self):
+        z = np.full((3, 4), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):  # as _propagate calls it
+            assert not np.isfinite(z.sum())
+            assert montecarlo._first_non_finite(z) == -1
+            for bad in (np.inf, -np.inf, np.nan):
+                z[2, 1] = z[1, 3] = bad
+                assert montecarlo._first_non_finite(z) == 1
+
+    def test_overflowing_block_sum_does_not_raise(self, mc_setup, monkeypatch):
+        # Every path starts at x = (1e307, 0, 1e307, 0) with cov0 = 0, so the
+        # block's state sums to inf while every entry stays finite (x then
+        # decays): the screen trips, the row search finds nothing, and the
+        # run completes.
+        spec, sys_m, _, _, _, gains = mc_setup
+        screen = montecarlo._first_non_finite
+        tripped = []
+
+        def spy(z):
+            tripped.append(not np.isfinite(z.sum()))
+            return screen(z)
+
+        monkeypatch.setattr(montecarlo, "_first_non_finite", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = simulate_ensemble(sys_m, gains, [1e307, 0.0], np.zeros((2, 2)),
+                                        paths=12, base_seed=3)
+        # the check at node 0 and at the first propagated node, at least
+        assert len(tripped) == 501 and tripped[0] and tripped[1]
+        assert np.isfinite(moments.mean_e).all()
+
+
 class TestThreadedNoise:
     def test_moments_independent_of_worker_count(self, mc_setup, monkeypatch):
         # 301 paths in blocks of 37 leave a last block of 5, and windows of
         # 23 nodes cross the checkpoints at arbitrary offsets.
         spec, sys_m, _, _, _, gains = mc_setup
         nodes = checkpoint_nodes(500, 10)
-        dim, draws = 4 * spec.n, 4 * spec.m
 
         def simulate():
             return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=301,
                                      base_seed=77, nodes=nodes)
 
         with monkeypatch.context() as patch:  # one tile: every path, every node
-            patch.setattr(montecarlo, "_TILE_FOOTPRINT", 10**9)
-            patch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 40)
+            patch.setattr(montecarlo, "_tile_shape",
+                          lambda dim, draws, cols, workers, steps: (301, steps))
             patch.setattr(montecarlo, "_worker_count", lambda paths: 1)
             reference = _run_bounded(simulate)
 
-        monkeypatch.setattr(montecarlo, "_TILE_FOOTPRINT", 37 * (dim + draws))
+        monkeypatch.setattr(montecarlo, "_tile_shape", lambda *args: (37, 23))
         fold = montecarlo._node_operators
         windows = []
         monkeypatch.setattr(montecarlo, "_node_operators",
@@ -687,10 +743,6 @@ class TestThreadedNoise:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                scratch = workers * montecarlo._CHUNK
-                per_node = ((2 * 37 + scratch) * draws + (dim + draws) * (dim + 4 * spec.d)
-                            + 3 * dim * dim)
-                monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 23 * per_node)
                 monkeypatch.setattr(montecarlo, "_worker_count", lambda paths, w=workers: w)
                 windows.clear()
                 _assert_moments_identical(_run_bounded(simulate), reference)
@@ -751,7 +803,7 @@ class TestThreadedNoise:
 
     def test_draw_calls_do_not_shorten_with_more_paths(self, mc_setup, monkeypatch):
         # Every path makes the same standard_normal calls whatever the
-        # ensemble: 3000 paths are two path blocks, 300 a part of one.
+        # ensemble: 3000 paths are three path blocks, 300 a part of one.
         spec, sys_m, _, _, _, gains = mc_setup
         monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 20)
         build = montecarlo._path_generators
@@ -789,10 +841,8 @@ class TestThreadedNoise:
         # named, whichever block reaches it first.
         spec, sys_m, _, _, _, gains = mc_setup
         n, draws = spec.n, 4 * spec.m
-        monkeypatch.setattr(montecarlo, "_TILE_FOOTPRINT", 16 * (4 * n + draws))
+        monkeypatch.setattr(montecarlo, "_tile_shape", lambda *args: (16, 40))
         monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 2)
-        per_node = (2 * 16 + 2 * montecarlo._CHUNK) * draws + draws * 12 + 8 * 12 + 192
-        monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 40 * per_node)
         build = montecarlo._path_generators
 
         class Poisoned:
