@@ -40,9 +40,7 @@ for both tiles in flight on the reference) nor the length of a draw call
 depends on the path count.  A tile is laid out node-major, (nodes, paths,
 draws), so that the noise product of each node reads one contiguous block.
 The maps of a window are folded once, and every block advances through the
-window with two matrix products a node; its rows at the accumulated nodes
-are copied into population-wide arrays, so every moment sum still runs over
-all paths at once.  The path chunks of the next tile
+window with two matrix products a node.  The path chunks of the next tile
 are drawn on a thread pool while the calling thread propagates the current
 one, since numpy's generators release the GIL while filling; before it
 propagates a tile, the calling thread draws the tile's chunks that no pool
@@ -51,11 +49,17 @@ tile.  The X0 draws, n normals a path, are drawn in the calling thread,
 since threads only pass the GIL back and forth over draws that short.
 Which thread draws a path cannot change its draws, each path's stream is
 consumed in order whatever the tiling, and a row's products do not depend
-on the other rows of its block, so every output is bit-identical whatever
-the thread count, block or window.  Moments are accumulated only at the
-requested grid nodes, by default the checkpoint_nodes cross_moment_check
-compares; the state is checked for finiteness at every node, by one sum
-that screens the whole block.  The oracle returns ensemble statistics only
+on the other rows of its block, so every path's state, and every
+terminal-scalar statistic, is bit-identical whatever the thread count,
+block or window.  Moments are accumulated only at the requested grid nodes,
+by default the checkpoint_nodes cross_moment_check compares: as a block
+passes such a node it adds its own rows' moments to the node's running
+sums, and the blocks add in path order (the partitioned update of Chan,
+Golub & LeVeque 1983), so no copy of the population's state is held.  The
+node moments are therefore bit-identical whatever the thread count or
+window; the block, a constant of the model's shapes, moves them by
+round-off only.  The state is checked for finiteness at every node, by one
+sum that screens the whole block.  The oracle returns ensemble statistics only
 (simulate_ensemble); two paths with one seed give a single path's
 trajectory as their mean.
 """
@@ -93,8 +97,9 @@ _POOL_SIZE = 4
 # reference, 312 at n = 8).  The block follows from the model's shapes alone,
 # never from the path or thread count.  A row's products do not depend on the
 # other rows of its block (the BLAS computes each output row from its own
-# input row, which TestThreadedNoise pins), so no output changes by a bit
-# with the block.
+# input row, which TestThreadedNoise pins), so no path's state changes by a
+# bit with the block; the node moments, summed block by block, change by
+# round-off only.
 _TILE_FOOTPRINT = 20_000
 
 # Doubles that the two noise tiles in flight (the one propagated and the one
@@ -107,11 +112,6 @@ _TILE_FOOTPRINT = 20_000
 # call is as long at 300 paths as at 30 000.  No per-path stream, no bit of a
 # map and no bit of any output depends on it.
 _NOISE_BUDGET = 1 << 22
-
-# Accumulated nodes a window may reach: each holds a copy of every path's
-# state until the window's last block has passed it, so this bounds that
-# memory when every node is accumulated.
-_HELD_NODES = 8
 
 # Paths a chunk of a tile holds: each thread, the calling one too, draws one
 # chunk at a time into a scratch of its own, then writes it into the
@@ -237,7 +237,16 @@ def checkpoint_nodes(steps: int, checkpoints: int) -> np.ndarray:
     """
     if checkpoints < 2:
         raise ValueError(f"checkpoints must be >= 2 (first and last node), got {checkpoints}")
-    return np.unique(np.round(np.linspace(0, steps, checkpoints)).astype(int))
+    return _distinct(np.round(np.linspace(0, steps, checkpoints)).astype(int))
+
+
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """The sorted 1-d idx without repeats.
+
+    Not np.unique: in numpy 2.4 it imports numpy.ma, which no other part of
+    a run loads.
+    """
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]
 
 
 def _worker_count(paths: int) -> int:
@@ -367,10 +376,12 @@ def _node_indices(nodes, steps: int) -> np.ndarray:
     """Validated, sorted, de-duplicated node indices; None means the checkpoints."""
     if nodes is None:
         return checkpoint_nodes(steps, checks.CHECKPOINTS)
-    idx = np.unique(np.asarray(nodes, dtype=int).reshape(-1))
-    if idx.size == 0 or idx[0] < 0 or idx[-1] > steps:
-        raise ValueError(f"nodes must be a non-empty subset of 0..{steps}, got {nodes!r}")
-    return idx
+    idx = np.asarray(nodes).reshape(-1)
+    # a float or string entry would be truncated or parsed by astype
+    if idx.dtype.kind not in "iu" or idx.size == 0 or idx.min() < 0 or idx.max() > steps:
+        raise ValueError(f"nodes must be a non-empty set of integers in 0..{steps}, "
+                         f"got {nodes!r}")
+    return _distinct(np.sort(idx).astype(int))
 
 
 def _node_operators(sys, gains: GainSchedule, sub: int, h: float, pi_sqrt: np.ndarray,
@@ -437,24 +448,6 @@ def _node_operators(sys, gains: GainSchedule, sub: int, h: float, pi_sqrt: np.nd
     return w_z, w_w
 
 
-def _windows(steps: int, width: int, nodes: np.ndarray) -> list[tuple[int, int]]:
-    """Node intervals [q0, q1) of at most `width` nodes, covering 0..steps.
-
-    A window ends early, just before the node of `nodes` that would be its
-    (_HELD_NODES + 1)-th in (q0, q1].
-    """
-    windows = []
-    q0 = 0
-    while q0 < steps:
-        q1 = min(steps, q0 + width)
-        ahead = nodes[np.searchsorted(nodes, q0, side="right"):]
-        if len(ahead) > _HELD_NODES and ahead[_HELD_NODES] <= q1:
-            q1 = int(ahead[_HELD_NODES]) - 1
-        windows.append((q0, q1))
-        q0 = q1
-    return windows
-
-
 def _first_non_finite(z: np.ndarray) -> int:
     """Index of the first row of z with a non-finite entry, or -1.
 
@@ -491,14 +484,16 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     summed energy squares and its first energy rate.  The finiteness check,
     one sum screening the block's state, runs at every node; a block stops
     at its first non-finite node, and the window's earliest such node, and
-    its first path, is reported once every block has run.  The block's rows at the
-    accumulated nodes (`nodes`, default the checkpoints) are copied into
-    population-wide Fortran-order arrays, and once the window's last block
-    has passed them their moments are summed over all paths at once, with
-    sX = e + x rebuilt and its initial copy taken from the held X0, so that
-    it stays bitwise frozen.  The next tile is drawn on a thread pool, one
-    _draw_chunk job a chunk, while this one propagates; results depend only
-    on (seeds, substeps), bit for bit, whatever the tiling or thread count.
+    its first path, is reported once every block has run.  At each
+    accumulated node (`nodes`, default the checkpoints, node 0 included) a
+    block adds its own rows' moments to the node's six sums, the blocks in
+    path order; sX = e + x is rebuilt in a scratch of the block's rows whose
+    initial copy is the block's X0, so that it stays bitwise frozen.  The
+    next tile is drawn on a thread pool, one _draw_chunk job a chunk, while
+    this one propagates.  Every path's state and the terminal scalars depend
+    only on (seeds, substeps), bit for bit, whatever the tiling or thread
+    count; the node sums depend on the block too, but not on the window or
+    the thread count.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
@@ -536,18 +531,14 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     cross_sum = np.zeros((kept, twon, twon))
     cross_sq_sum = np.zeros((kept, twon, twon))
 
-    # y = (sX; x) at the current node; its initial-copy block is X0 for good.
-    y_state = np.empty((count, dim), order="F")
-    y_state[:, :n] = plant0
-
-    def accumulate(k: int, z: np.ndarray) -> None:
-        """Add the moments of every path's state z (count, dim) to slot k."""
+    def accumulate(k: int, z: np.ndarray, y: np.ndarray) -> None:
+        """Add the moments of a block's states z to slot k; y holds its X0 block."""
         err = z[:, :twon]
         x_part = z[:, twon:]
-        np.add(err[:, n:], x_part[:, n:], out=y_state[:, n:twon])
-        y_state[:, twon:] = x_part
-        mean_sum[k] += y_state.sum(axis=0)
-        second_sum[k] += y_state.T @ y_state
+        np.add(err[:, n:], x_part[:, n:], out=y[:, n:twon])
+        y[:, twon:] = x_part
+        mean_sum[k] += y.sum(axis=0)
+        second_sum[k] += y.T @ y
         e_sum[k] += err.sum(axis=0)
         e_second_sum[k] += err.T @ err
         cross_sum[k] += x_part.T @ err
@@ -574,21 +565,16 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         bad = _first_non_finite(z)
         if bad >= 0:
             raise diverged(bad, 0)
-        if slot[0] >= 0:
-            accumulate(0, z)
         squares = np.zeros((count, cols - dim), order="F")
         g_first = np.empty(count)
 
         rows, width = _tile_shape(dim, draws, cols, workers, steps)
         block = min(rows, count)
-        windows = _windows(steps, width, nodes)
-        tiles = [(q0, q1, lo, min(lo + block, count))
-                 for q0, q1 in windows for lo in range(0, count, block)]
-        # the accumulated nodes in (q0, q1] of each window are nodes[base:top]
-        bounds = np.searchsorted(nodes, [q0 for q0, _ in windows] + [steps], side="right")
-        held = np.empty((int(np.diff(bounds).max()), dim, count))
-        # a block's state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
-        buffers = [np.empty(block * cols) for _ in range(3)]
+        tiles = [(q0, min(q0 + width, steps), lo, min(lo + block, count))
+                 for q0 in range(0, steps, width) for lo in range(0, count, block)]
+        # a block's state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1}),
+        # and its y = (sX; x) at an accumulated node
+        buffers = [np.empty(block * cols) for _ in range(4)]
         noise_buffers = [np.empty(block * width * draws) for _ in range(2)]
 
         def tile(i: int) -> np.ndarray:
@@ -625,11 +611,15 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                 if lo == 0:
                     w_z = w_w = None  # before the window's operators are folded
                     w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q0, q1)
-                    base, top = np.searchsorted(nodes, (q0, q1), side="right")
                     first_bad = None  # (node, path) of the window's first non-finite state
-                state, ahead, drive = (buf[:(hi - lo) * cols].reshape((hi - lo, cols), order="F")
-                                       for buf in buffers)
+                state, ahead, drive, y = (buf[:(hi - lo) * cols].reshape((hi - lo, cols),
+                                                                          order="F")
+                                          for buf in buffers)
+                y = y[:, :dim]
+                y[:, :n] = plant0[lo:hi]  # sX's initial copy stays X0 for good
                 state[:, :dim] = z[lo:hi]
+                if q0 == 0 and slot[0] >= 0:
+                    accumulate(0, state[:, :dim], y)
                 for q in range(q0, q1):
                     np.matmul(state[:, :dim], w_z[q - q0], out=ahead)
                     np.matmul(noise[q - q0], w_w[q - q0], out=drive)
@@ -646,14 +636,11 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                             first_bad = (q + 1, lo + bad)
                         break
                     if slot[q + 1] >= 0:
-                        held[slot[q + 1] - base, :, lo:hi] = state[:, :dim].T
+                        accumulate(slot[q + 1], state[:, :dim], y)
                 z[lo:hi] = state[:, :dim]
-                if hi == count:  # the window's last block
-                    if first_bad is not None:
-                        raise diverged(first_bad[1], first_bad[0])
-                    for k in range(base, top):
-                        accumulate(k, held[k - base].T)
-        del held, noise_buffers, w_z, w_w
+                if hi == count and first_bad is not None:  # the window's last block
+                    raise diverged(first_bad[1], first_bad[0])
+        del noise_buffers, w_z, w_w
 
         g_final = ((z[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
         energy = h * squares.sum(axis=1) + (0.5 * h) * (g_final - g_first)

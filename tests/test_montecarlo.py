@@ -1,11 +1,13 @@
 import dataclasses
 import re
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,8 +424,9 @@ class TestEnsemble:
 
     def test_rejects_nodes_off_grid(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
-        for nodes in ([0, 501], [-1, 3], []):
-            with pytest.raises(ValueError):
+        # entries that are not integers, which a cast would truncate or parse
+        for nodes in ([0, 501], [-1, 3], [], [2.5, 7.9], ["3"], [2.0], [True, False]):
+            with pytest.raises(ValueError, match="nodes"):
                 simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
                                   base_seed=1, nodes=nodes)
 
@@ -540,9 +543,8 @@ class TestNodeOperators:
     # _tile_shape as the whole node intervals it holds, at least one (None
     # keeps the shipped shape, a window of the whole grid here), so a budget
     # of 0.5 still gives windows of one node; 3 intervals over 100 steps
-    # leave a last window of one node.  A window also ends before the
-    # accumulated node that would be its (_HELD_NODES + 1)-th, so with every
-    # node accumulated (nodes None) it holds at most that many.
+    # leave a last window of one node.  The windows do not depend on the
+    # accumulated nodes.
     CASES = [
         (("random", 2, 2, 11), 1, None, None),      # d = 0
         (("random", 2, 2, 1), 8, 1, None),          # d = 1
@@ -580,17 +582,7 @@ class TestNodeOperators:
         seeds = [derive_path_seed(31, i) for i in range(paths)]
         folded = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths,
                                    base_seed=31, substeps_per_node=sub, nodes=nodes)
-        accumulated = set(np.asarray(nodes).tolist())
-        expected, q0 = [], 0
-        while q0 < spec.steps:
-            q1, held = q0, 0
-            while (q1 - q0 < width and q1 < spec.steps
-                   and held + ((q1 + 1) in accumulated) <= montecarlo._HELD_NODES):
-                q1 += 1
-                held += q1 in accumulated
-            expected.append(q1 - q0)
-            q0 = q1
-        assert windows == expected
+        assert windows == [min(width, spec.steps - q0) for q0 in range(0, spec.steps, width)]
         reference = _substep_reference(sys_m, gains, spec.mean0, spec.cov0, seeds, sub, nodes)
         for field in dataclasses.fields(reference):
             ref = np.asarray(getattr(reference, field.name), dtype=float)
@@ -638,8 +630,8 @@ class TestNodeOperators:
         # 16 substeps make a path block 500 paths, so both ensembles fill
         # whole blocks and their tiles are the same size: the peaks differ
         # by the per-path state alone, the generators and at most 8 (4n + s d)
-        # doubles a path (z, its copy y, the held checkpoint copies, the
-        # horizon scalars), never by noise.
+        # doubles a path (z, its energy squares, the horizon scalars), never
+        # by noise.
         spec = _spec(steps=100)
         sys_m, filt, ctrl, _ = _pipeline(spec)
         gains = gain_schedule(filt, ctrl)
@@ -719,7 +711,9 @@ class TestTileShape:
 class TestThreadedNoise:
     def test_moments_independent_of_worker_count(self, mc_setup, monkeypatch):
         # 301 paths in blocks of 37 leave a last block of 5, and windows of
-        # 23 nodes cross the checkpoints at arbitrary offsets.
+        # 23 nodes cross the checkpoints at arbitrary offsets.  The node sums
+        # are added block by block, so the reference keeps the blocks and
+        # runs them through one window of every node on one thread.
         spec, sys_m, _, _, _, gains = mc_setup
         nodes = checkpoint_nodes(500, 10)
 
@@ -727,9 +721,9 @@ class TestThreadedNoise:
             return simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=301,
                                      base_seed=77, nodes=nodes)
 
-        with monkeypatch.context() as patch:  # one tile: every path, every node
+        with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_tile_shape",
-                          lambda dim, draws, cols, workers, steps: (301, steps))
+                          lambda dim, draws, cols, workers, steps: (37, steps))
             patch.setattr(montecarlo, "_worker_count", lambda paths: 1)
             reference = _run_bounded(simulate)
 
@@ -830,6 +824,33 @@ class TestThreadedNoise:
             per_path.append(calls[0])
         assert per_path[0] == per_path[1]
         assert len(per_path[0]) > 2 and sum(per_path[0]) == spec.n + 500 * 4 * spec.m
+
+    def test_draw_calls_do_not_depend_on_the_accumulated_nodes(self, mc_setup, monkeypatch):
+        # Accumulating every node holds no state, so it cuts no window short.
+        spec, sys_m, _, _, _, gains = mc_setup
+        build = montecarlo._path_generators
+        calls = []
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.lengths = rng, []
+                calls.append(self.lengths)
+
+            def standard_normal(self, out):
+                self.lengths.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(montecarlo, "_path_generators",
+                            lambda words: [Recorder(rng) for rng in build(words)])
+        per_nodes = []
+        for nodes in (None, np.arange(spec.steps + 1)):
+            calls.clear()
+            _run_bounded(lambda: simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0,
+                                                   paths=300, base_seed=3, nodes=nodes))
+            assert len(calls) == 300 and all(c == calls[0] for c in calls)
+            per_nodes.append(calls[0])
+        assert per_nodes[0] == per_nodes[1]
+        assert sum(per_nodes[0]) == spec.n + spec.steps * 4 * spec.m
 
     @pytest.mark.parametrize("poisoned, named", [((30, 20), 37), ((20, 20), 3)],
                              ids=["later-tile-earlier-node", "same-node"])
@@ -942,6 +963,42 @@ class TestThreadedNoise:
             with pytest.raises(RuntimeError, match="generator failed"):
                 _draw_on_pool(rngs, np.empty((2, paths, 5)), 0, workers)
             assert threading.active_count() == threads_before, workers
+
+
+def test_ensemble_loads_no_numpy_ma():
+    """A small ensemble in a fresh interpreter leaves numpy.ma unloaded.
+
+    np.unique imports it in numpy 2.4; no part of a run needs it.
+    """
+    import os
+    import subprocess
+
+    src = str(Path(montecarlo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from qmemctl import (cross_moment_check, derive_system_matrices, gain_schedule,
+                             simulate_ensemble, solve_closed_loop, solve_control,
+                             solve_filter)
+        from qmemctl.model import ScenarioSpec
+        spec = ScenarioSpec(n=2, m=2, d=1, r=1, s=2, R=np.eye(2), M=np.eye(2),
+                            N=[[0.0, 1.0]], D=[[1.0, 0.0]], F=np.eye(2), Pi=[[1.0]],
+                            mean0=[1.0, 0.0], cov0=0.5 * np.eye(2), tau=1.0, steps=50)
+        sys_m = derive_system_matrices(spec)
+        filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
+        ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
+        closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
+        for nodes in (None, [50, 0, 25, 25]):
+            moments = simulate_ensemble(sys_m, gain_schedule(filt, ctrl), spec.mean0,
+                                        spec.cov0, paths=20, base_seed=1, nodes=nodes)
+            cross_moment_check(moments, closed, filt)
+        print(*sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+    """)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == []
 
 
 class TestWeakConvergence:
