@@ -15,28 +15,33 @@ mean-square deviation is Delta(t) = <Lambda, S(t)>, and the running cost is
 All quadratures are composite trapezoid on the shared grid, which keeps the
 minimum-cost identity discretization-consistent.
 
-T and the mean controller state x are stepped together, in one RK4 pass,
-as the bordered state Z = [[T, x], [x', 1]] of size (2n+1)^2 from
-Z(0) = z0 z0' with z0 = (EX0, EX0, 1).  With a = blockdiag(sA + sE c, 0)
-and f = blockdiag(K G K', 0), the one Lyapunov form Z' = a Z + Z a' + f
-gives T' = (sA + sE c) T + T (.)' + K G K' in the T block, x' = (sA + sE c) x
-on the border, and keeps the corner exactly 1.
+T and the mean controller state x are stepped together as the bordered
+state Z = [[T, x], [x', 1]] of size (2n+1)^2 from Z(0) = z0 z0' with
+z0 = (EX0, EX0, 1).  With a = blockdiag(sA + sE c, 0) and
+f = blockdiag(K G K', 0), the one Lyapunov form Z' = a Z + Z a' + f gives
+T' = (sA + sE c) T + T (.)' + K G K' in the T block and x' = (sA + sE c) x
+on the border.
 
-RK4 evaluates that right-hand side only at the nodes and midpoints of the
-shared grid (the half-step lattice of ode.rk4_stage_times), so a and f are
-tabulated there: K and c from ode.lattice_values with 2 points per step
-(a midpoint weighs its two nodes by exactly 1/2), then sA + sE c and the
-symmetrized K G K' by stacked matmuls.  The tables cover one block of
-_BLOCK_STEPS steps at a time, refilled in one preallocated pair of buffers
-before the block is stepped, so they hold at most
-2 (2 _BLOCK_STEPS + 1) (2n+1)^2 doubles whatever the step count.  Step k
-of a block reads table rows 2k, 2k + 1 and 2k + 2 directly.
+Over step k its solution is a congruence by the loop's transition plus a
+forcing term, so the state is stepped by
 
-Each stage is one matmul: W = a Y, then W + W' + f, which is exactly
-symmetric, so every stage and every new Z is too and no step needs
-symmetrizing.  The stages are computed in preallocated buffers in the order
-of the generic RK4 loop ode.integrate_matrix_ode, and finiteness is checked
-once per block.
+    Z_{k+1} = Psi_k Z_k Psi_k' + F_k,
+
+where Psi_k is one RK4 step of the transition equation X' = a X from
+X = I, and F_k one RK4 step of the Lyapunov equation from Z = 0 (both
+with ode.rk4_step).  So x advances as Psi_k x, the corner stays exactly 1,
+and the recursion is fourth order like RK4 of the Lyapunov equation itself;
+its stability bound applies to h lambda(a), not to h (lambda_i + lambda_j).
+
+RK4 evaluates a and f only at the nodes and midpoints of the shared grid
+(the half-step lattice of ode.rk4_stage_times), so K and c come from
+ode.lattice_values with 2 points per step (a midpoint weighs its two nodes
+by exactly 1/2), and sA + sE c and the symmetrized K G K' from stacked
+matmuls.  One block of _BLOCK_STEPS steps at a time is tabulated, its
+Psi_k and F_k built by one batched RK4 step each, and then stepped, so the
+per-block scratch is bounded whatever the step count.  Each step is two
+matmuls and an add; the block's new states are then symmetrized and
+checked for finiteness.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from .control import ControlRiccati
 from .errors import DivergenceError, GridMismatchError
-from .ode import congruence, lattice_values, node_times
+from .ode import congruence, lattice_values, node_times, rk4_step
 # perfbench traces closedloop.integrate_matrix_ode and closedloop.sample_grid.
 from .ode import integrate_matrix_ode, sample_grid  # noqa: F401
 
@@ -81,14 +86,13 @@ def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray, out=None, work=None):
+def _lyapunov_rhs(a: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """W + W' + f with W = a X: a X + X a' + f for symmetric X (works on stacked inputs).
 
-    For symmetric f the result is exactly symmetric.  `work` receives W and
-    `out` the result when given.
+    For symmetric f the result is exactly symmetric.
     """
-    w = np.matmul(a, x, out=work)
-    out = np.add(w, w.swapaxes(-2, -1), out=out)
+    w = a @ x
+    out = w + w.swapaxes(-2, -1)
     out += f
     return out
 
@@ -117,56 +121,46 @@ def moment_rhs(T: np.ndarray, c_t: np.ndarray, K_t: np.ndarray, sys) -> np.ndarr
 
 def _step_bordered(bordered: np.ndarray, c_values: np.ndarray, k_values: np.ndarray,
                    sys, tau: float) -> None:
-    """RK4 over [0, tau] of Z' = a Z + Z a' + f, in place from bordered[0].
+    """Z_{k+1} = Psi_k Z_k Psi_k' + F_k over [0, tau], in place from bordered[0].
 
     a and f are tabulated at the nodes and midpoints of one block of
-    _BLOCK_STEPS steps at a time; step k reads lattice points 2k, 2k + 1
-    and 2k + 2 of the block.  Raises DivergenceError naming the first
-    non-finite step and its time.
+    _BLOCK_STEPS steps at a time, and each step's Psi_k and F_k built from
+    lattice points 2k, 2k + 1 and 2k + 2 of the block.  Raises
+    DivergenceError naming the first non-finite step and its time.
     """
     steps = len(bordered) - 1
     dim = bordered.shape[-1] - 1
     h = tau / steps
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    # The border rows and columns of a and f stay zero; each refill writes
-    # only the top-left blocks.
-    a_table = np.zeros((min(2 * _BLOCK_STEPS, 2 * steps) + 1, dim + 1, dim + 1))
-    f_table = np.zeros_like(a_table)
-    work, probe, k1, k2, k3, k4 = np.empty((6,) + bordered.shape[1:])
+    # The bordered maps blockdiag(Psi_k, 1) and blockdiag(F_k, 0): each
+    # refill writes only the top-left blocks.
+    psi = np.zeros((min(_BLOCK_STEPS, steps), dim + 1, dim + 1))
+    psi[:, dim, dim] = 1.0
+    forcing = np.zeros_like(psi)
+    work = np.empty(bordered.shape[1:])
+    # A block's lattice points 2k, 2k + 1 and 2k + 2 of each of its steps k.
+    stages = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
     # A diverging state overflows on its way to inf/nan; the finiteness check
     # below reports it as DivergenceError, so numpy's warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, _BLOCK_STEPS):
             last = min(first + _BLOCK_STEPS, steps)
-            points = 2 * (last - first) + 1
-            a_cl, kgk = _closed_loop_coefficients(
+            size = last - first
+            a, f = _closed_loop_coefficients(
                 lattice_values(c_values, 2, 2 * first, 2 * last + 1),
                 lattice_values(k_values, 2, 2 * first, 2 * last + 1), sys,
             )
-            a_table[:points, :dim, :dim] = a_cl
-            f_table[:points, :dim, :dim] = kgk
-            for k in range(first, last):
-                z = bordered[k]
-                j = 2 * (k - first)
-                _lyapunov_rhs(a_table[j], z, f_table[j], k1, work)
-                np.multiply(k1, half_h, out=probe)
-                probe += z
-                _lyapunov_rhs(a_table[j + 1], probe, f_table[j + 1], k2, work)
-                np.multiply(k2, half_h, out=probe)
-                probe += z
-                _lyapunov_rhs(a_table[j + 1], probe, f_table[j + 1], k3, work)
-                np.multiply(k3, h, out=probe)
-                probe += z
-                _lyapunov_rhs(a_table[j + 2], probe, f_table[j + 2], k4, work)
-                # z + h/6 (k1 + 2 (k2 + k3) + k4), in the order of ode's RK4 loop.
-                k2 += k3
-                k2 *= 2.0
-                k2 += k1
-                k2 += k4
-                k2 *= sixth_h
-                np.add(z, k2, out=bordered[k + 1])
-            finite = np.isfinite(bordered[first + 1:last + 1]).all(axis=(1, 2))
+            psi[:size, :dim, :dim] = rk4_step(lambda j, x: a[j] @ x, np.eye(dim), h, *stages)
+            forcing[:size, :dim, :dim] = rk4_step(lambda j, z: _lyapunov_rhs(a[j], z, f[j]),
+                                                  np.zeros((dim, dim)), h, *stages)
+            for z, z_next, p, f_k in zip(bordered[first:last], bordered[first + 1:last + 1],
+                                         psi, forcing):
+                np.matmul(p, z, out=work)
+                np.matmul(work, p.T, out=z_next)
+                z_next += f_k
+            block = bordered[first + 1:last + 1]
+            block += block.swapaxes(1, 2)
+            block *= 0.5
+            finite = np.isfinite(block).all(axis=(1, 2))
             if not finite.all():
                 bad = first + 1 + int(np.argmin(finite))
                 raise DivergenceError(
@@ -189,15 +183,12 @@ def solve_closed_loop(
     node (same shape); used for perturbation studies around the optimum.
     Both input solutions must share their time grid.
 
-    T and the mean controller state are integrated together by one RK4 pass
-    over [0, tau] in the grid's step count, as the bordered state
-    [[T, x], [x', 1]].  Its coefficients a = blockdiag(sA + sE c, 0) and
-    f = blockdiag(K G K', 0) are tabulated at the stage times (node k at
-    lattice index 2k, the midpoint of step k at 2k + 1), one block of
-    _BLOCK_STEPS steps at a time, with K and c from
-    ode.lattice_values(values, 2, lo, hi): node values at the nodes, the two
-    neighbouring nodes weighed by exactly 1/2 at a midpoint.  Each step
-    reads its three table rows by index.
+    T and the mean controller state are stepped together over [0, tau] in
+    the grid's step count, as the bordered state [[T, x], [x', 1]], by
+    Z_{k+1} = Psi_k Z_k Psi_k' + F_k (see the module docstring), with K and
+    c at the stage times from ode.lattice_values(values, 2, lo, hi): node
+    values at the nodes, the two neighbouring nodes weighed by exactly 1/2
+    at a midpoint.
     T and x_mean are returned as owned, C-contiguous copies of the bordered
     grid's blocks.  Raises DivergenceError naming the first step whose
     state is not finite.
@@ -229,7 +220,7 @@ def solve_closed_loop(
     delta = np.einsum("ij,tij->t", sys.Lambda, moments + filter_sol.P_full)
 
     pi = control_sol.Pi
-    energy = np.einsum("tai,ab,tbj,tij->t", c_values, pi, c_values, moments)
+    energy = np.einsum("tij,tij->t", congruence(c_values.swapaxes(1, 2), pi), moments)
     h = (times[-1] - times[0]) / steps if steps else 0.0
     phi = delta + _cumtrapz(energy, h)
 

@@ -7,8 +7,9 @@ Two steppers share the uniform grid of `node_times`:
   Backward solves reuse the forward stepper through the substitution
   t -> t0 + t1 - t with a negated right-hand side, and grids are always
   stored ascending in time.  The reference block cascades of the Riccati
-  equations run on it; the closed-loop moments take the same RK4 stages in
-  their own in-place loop (`closedloop`).
+  equations run on it.  Its one step, `rk4_step`, also builds the
+  closed-loop moments' per-step transition and forcing maps, a whole block
+  of steps at a time (`closedloop`).
 * `mobius_riccati`: the constant-coefficient Riccati equation
   dP/dt = alpha P + P alpha' + beta - P gamma P, stepped exactly on the
   grid.  With Phi(s) = expm(M s) for the Hamiltonian matrix
@@ -29,7 +30,7 @@ RK4 evaluates the right-hand side on the half-step lattice of
 `rk4_stage_times`: node k at index 2k and the midpoint of step k at index
 2k + 1.  `lattice_values` is the one rule for values between grid nodes: it
 interpolates node values at a block of points of a lattice with any number
-of points per step.  The closed-loop moments index their RK4 stage gains
+of points per step.  The closed-loop moments take their RK4 stage gains
 from it (2 points per step) and the Monte Carlo oracle its Euler-Maruyama
 substep gains (s points per step); `sample_grid`, which searches for an
 arbitrary time, is left to tests and one-off queries.
@@ -108,33 +109,41 @@ def rk4_stage_times(t0: float, t1: float, steps: int) -> np.ndarray:
     return lattice
 
 
+def rk4_step(rhs, state, h, start, mid, end):
+    """One classical RK4 step of d(state)/dt = rhs(point, state) over h.
+
+    `start`, `mid` and `end` are whatever `rhs` reads for the step's start,
+    midpoint and end: times in `integrate_matrix_ode`; in `closedloop`,
+    slices of a block's tabulated coefficients, so that numpy broadcasting
+    takes every step of the block at once.
+    """
+    k1 = rhs(start, state)
+    k2 = rhs(mid, state + (0.5 * h) * k1)
+    k3 = rhs(mid, state + (0.5 * h) * k2)
+    k4 = rhs(end, state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _rk4(rhs, init, t0, t1, steps, post_step, clock):
     """Forward RK4 loop; `clock` maps integration time to reported time."""
     stage_times = rk4_stage_times(t0, t1, steps)
     times = stage_times[0::2].copy()
     state = np.array(init, dtype=float)
     h = (t1 - t0) / steps
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
     values = np.empty((steps + 1,) + state.shape)
     values[0] = state
     # A diverging state overflows on its way to inf/nan; the finiteness check
     # below reports it as DivergenceError, so numpy's warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            t = times[k]
-            t_mid = stage_times[2 * k + 1]
-            t_next = times[k + 1]  # exact node time; t + h may overshoot t1 by an ulp
-            k1 = rhs(t, state)
-            k2 = rhs(t_mid, state + half_h * k1)
-            k3 = rhs(t_mid, state + half_h * k2)
-            k4 = rhs(t_next, state + h * k3)
-            state = state + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
+            # times[k + 1] is the exact node time; t + h may overshoot t1 by an ulp.
+            state = rk4_step(rhs, state, h, times[k], stage_times[2 * k + 1], times[k + 1])
             if post_step is not None:
                 state = post_step(state)
             if not np.isfinite(state).all():
                 raise DivergenceError(
-                    f"non-finite state at step {k + 1} of {steps} (t = {clock(t_next):.6g})"
+                    f"non-finite state at step {k + 1} of {steps} "
+                    f"(t = {clock(times[k + 1]):.6g})"
                 )
             values[k + 1] = state
     return times, values

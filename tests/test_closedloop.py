@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -72,37 +73,83 @@ def _time_search(times):
     return lambda values, t: sample_grid(TimeGrid(times, values), t)
 
 
-def _interpolating_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None,
-                               rule=_lattice_rule):
-    """T, x_mean, Phi, Delta and H_pont with K and c interpolated at every RK4 stage.
+def _lyapunov_rk4_moments(sys_m, filt, ctrl, mean0, tau):
+    """T from RK4 of the Lyapunov equation itself, K and c by the lattice rule per stage.
 
-    Each stage takes its gains from `rule(times)`, builds the bordered
-    coefficients a = blockdiag(sA + sE c, 0) and f = blockdiag(K G K', 0)
-    for the state [[T, x], [x', 1]] and evaluates the library's one
-    Lyapunov stage.  With the default lattice rule this is the reference the
-    tabulated coefficients and the in-place stepper must reproduce bitwise.
+    The bordered state [[T, x], [x', 1]] is stepped by ode's generic RK4 loop
+    with the library's Lyapunov stage: the scheme the transition recursion
+    replaced, and a fourth-order reference it must converge to.
     """
     times = filt.times
     steps = len(times) - 1
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     dim = 2 * mean0.size
-    c_values = ctrl.c if gain_override is None else np.asarray(gain_override, dtype=float)
-    gain_at = rule(times)
+    gain_at = _lattice_rule(times)
 
     def rhs(t, state):
         a = np.zeros((dim + 1, dim + 1))
         f = np.zeros((dim + 1, dim + 1))
         a[:dim, :dim], f[:dim, :dim] = _closed_loop_coefficients(
-            gain_at(c_values, t), gain_at(filt.K, t), sys_m)
+            gain_at(ctrl.c, t), gain_at(filt.K, t), sys_m)
         return _lyapunov_rhs(a, state, f)
 
     z0 = np.concatenate([mean0, mean0, [1.0]])
-    bordered = integrate_matrix_ode(rhs, np.outer(z0, z0), 0.0, tau, steps,
-                                    post_step=lambda s: 0.5 * (s + s.swapaxes(-2, -1))).values
+    bordered = integrate_matrix_ode(rhs, np.outer(z0, z0), 0.0, tau, steps).values
+    return bordered[:, :dim, :dim]
+
+
+def _transition_closed_loop(sys_m, filt, ctrl, mean0, tau, gain_override=None,
+                            rule=_lattice_rule):
+    """T, x_mean, Phi, Delta and H_pont by Z_{k+1} = Psi_k Z_k Psi_k' + F_k, step by step.
+
+    For each step on its own, Psi_k is one RK4 step of X' = a X from X = I
+    and F_k one RK4 step of the library's Lyapunov stage from Z = 0, each by
+    integrate_matrix_ode over [0, h] with K and c from `rule(times)` at
+    every stage time.  Every node is symmetrized, and the recursion restarts
+    from the symmetrized state after every closedloop._BLOCK_STEPS steps, as
+    the library's blocks do.  With the default lattice rule this is the
+    reference the batched maps and the in-place stepper must reproduce
+    bitwise.
+    """
+    times = filt.times
+    steps = len(times) - 1
+    h = tau / steps
+    mean0 = np.asarray(mean0, dtype=float).reshape(-1)
+    dim = 2 * mean0.size
+    c_values = ctrl.c if gain_override is None else np.asarray(gain_override, dtype=float)
+    gain_at = rule(times)
+
+    def one_step(rhs, init):
+        return integrate_matrix_ode(rhs, init, 0.0, h, 1).values[1]
+
+    z0 = np.concatenate([mean0, mean0, [1.0]])
+    bordered = np.empty((steps + 1, dim + 1, dim + 1))
+    bordered[0] = z = np.outer(z0, z0)
+    psi = np.eye(dim + 1)
+    forcing = np.zeros((dim + 1, dim + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            def coefficients(s, t_k=times[k]):
+                return _closed_loop_coefficients(
+                    gain_at(c_values, t_k + s), gain_at(filt.K, t_k + s), sys_m)
+
+            def lyapunov(s, y):
+                a, f = coefficients(s)
+                return _lyapunov_rhs(a, y, f)
+
+            psi[:dim, :dim] = one_step(lambda s, x: coefficients(s)[0] @ x, np.eye(dim))
+            forcing[:dim, :dim] = one_step(lyapunov, np.zeros((dim, dim)))
+            z = psi @ z @ psi.T + forcing
+            bordered[k + 1] = 0.5 * (z + z.T)
+            if not np.isfinite(bordered[k + 1]).all():
+                raise DivergenceError(
+                    f"non-finite state at step {k + 1} of {steps} (t = {times[k + 1]:.6g})")
+            if (k + 1) % closedloop._BLOCK_STEPS == 0:
+                z = bordered[k + 1]
     moments = bordered[:, :dim, :dim].copy()
     x_mean = bordered[:, :dim, dim].copy()
     delta = np.einsum("ij,tij->t", sys_m.Lambda, moments + filt.P_full)
-    energy = np.einsum("tai,ab,tbj,tij->t", c_values, ctrl.Pi, c_values, moments)
+    energy = np.einsum("tij,tij->t", c_values.swapaxes(1, 2) @ ctrl.Pi @ c_values, moments)
     phi = delta + _cumtrapz(energy, (times[-1] - times[0]) / steps)
     q_dot = ControlRiccati(sys_m, ctrl.Pi).rhs_full(ctrl.Q_full)
     h_pont = (np.einsum("tij,tij->t", ctrl.Q_full, congruence(filt.K, sys_m.G))
@@ -129,8 +176,8 @@ def _assert_matches_interpolation(spec, gain_override=None):
     override = None if gain_override is None else gain_override(ctrl)
     closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
                                gain_override=override)
-    expected = _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
-                                          gain_override=override)
+    expected = _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                       gain_override=override)
     for name, values in expected.items():
         assert np.array_equal(getattr(closed, name), values), name
 
@@ -169,7 +216,7 @@ class TestMomentRhs:
 
 
 class TestGainTables:
-    """solve_closed_loop looks its gains up in tables, bitwise as the per-stage lattice rule."""
+    """solve_closed_loop builds its transitions from tables, bitwise as the per-step recursion."""
 
     def test_reference_scenario(self):
         _assert_matches_interpolation(_spec(steps=2000))
@@ -193,8 +240,8 @@ class TestGainTables:
         # The lattice rule weighs a midpoint by exactly 1/2; sample_grid's
         # weight, from rounded times, is off 1/2 by up to about 1e-12.
         sys_m, filt, ctrl, closed = _pipeline(spec)
-        expected = _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
-                                              rule=_time_search)
+        expected = _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                           rule=_time_search)
         for name, values in expected.items():
             scale = 1.0 + np.max(np.abs(values))
             assert np.max(np.abs(getattr(closed, name) - values)) <= 1e-15 * scale, name
@@ -213,24 +260,58 @@ class TestGainTables:
         assert np.array_equal(closed.x_mean, ref_closed.x_mean)
 
 
+class TestTransitionRecursion:
+    """The recursion against RK4 of the Lyapunov equation, and the structure it keeps."""
+
+    @pytest.mark.parametrize("spec", [_spec(steps=250), n8_spec(1, steps=250)],
+                             ids=["reference", "n8"])
+    def test_fourth_order_against_lyapunov_rk4(self, spec):
+        # Both schemes are fourth order, so their gap falls about 16x per
+        # doubling while it is above round-off.
+        gaps = []
+        for steps in (spec.steps, 2 * spec.steps, 4 * spec.steps):
+            scaled = dataclasses.replace(spec, steps=steps)
+            sys_m, filt, ctrl, closed = _pipeline(scaled)
+            expected = _lyapunov_rk4_moments(sys_m, filt, ctrl, scaled.mean0, scaled.tau)
+            gaps.append(np.max(np.abs(closed.T - expected)) / np.max(np.abs(expected)))
+        assert gaps[0] > 1e-12
+        assert gaps[0] / gaps[1] >= 12.0 and gaps[1] / gaps[2] >= 12.0, gaps
+
+    @pytest.mark.parametrize("spec, perturb", [
+        (_spec(steps=2000), False),
+        (n8_spec(1, steps=500), False),
+        (_spec(steps=2000), True),
+        (n8_spec(1, steps=500), True),
+    ], ids=["reference", "n8", "reference_override", "n8_override"])
+    def test_exactly_symmetric_at_every_node(self, spec, perturb):
+        sys_m, filt, ctrl, closed = _pipeline(spec)
+        if perturb:
+            rng = np.random.default_rng(5)
+            override = ctrl.c + 0.05 * rng.standard_normal(ctrl.c.shape)
+            closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                       gain_override=override)
+        assert np.array_equal(closed.T, closed.T.swapaxes(1, 2))
+
+
 class TestDivergence:
     def test_overflow_names_first_non_finite_step(self):
         # A constant gain of 200 makes sA + sE c unstable enough that Z
-        # overflows at step 711, inside the third block of 256 steps.
+        # overflows at step 716, inside the third block of 256 steps.
         spec = _spec(steps=2000)
         sys_m, filt, ctrl, _ = _pipeline(spec)
         override = np.full_like(ctrl.c, 200.0)
-        with pytest.raises(DivergenceError) as per_stage:
-            _interpolating_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
-                                       gain_override=override)
+        with pytest.raises(DivergenceError) as per_step:
+            _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+                                    gain_override=override)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
                 solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
                                   gain_override=override)
-        assert str(err.value) == "non-finite state at step 711 of 2000 (t = 1.7775)"
-        assert str(err.value) == str(per_stage.value)
-        assert (711 - 1) % closedloop._BLOCK_STEPS != 0
+        assert str(err.value) == "non-finite state at step 716 of 2000 (t = 1.79)"
+        assert str(err.value) == str(per_step.value)
+        assert 716 > closedloop._BLOCK_STEPS
+        assert (716 - 1) % closedloop._BLOCK_STEPS != 0
 
 
 class TestBorderedMean:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import re
 import sys
 import textwrap
@@ -56,6 +57,20 @@ def mc_setup():
     spec = _spec()
     sys_m, filt, ctrl, closed = _pipeline(spec)
     return spec, sys_m, filt, ctrl, closed, gain_schedule(filt, ctrl)
+
+
+def _benchmark_workloads():
+    """WORKLOADS of perfbench/workloads.py, loaded by path with its sibling modules."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    sys.path.insert(0, str(bench))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module.WORKLOADS
 
 
 def em_deviation_oracle(sys, gains, mean0, cov0, substeps_per_node):
@@ -415,12 +430,15 @@ class TestEnsemble:
 
     def test_reproduces_the_benchmark_pin(self, mc_setup):
         # The benchmark's mc_ref inputs (the reference at 500 steps, 10 000
-        # paths, seed 1 234 567) and its pinned delta_mc: any change to the
-        # noise streams or their order moves it.
+        # paths, seed 1 234 567) and its pinned delta_mc, read from
+        # perfbench/workloads.py: any change to the noise streams or their
+        # order moves it.
         spec, sys_m, _, _, _, gains = mc_setup
-        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10_000,
-                                    base_seed=1_234_567)
-        assert moments.deviation_mean == pytest.approx(2.3920878490101494, rel=1e-8, abs=0)
+        mc_ref = _benchmark_workloads()["mc_ref"]
+        assert (mc_ref.scenario, mc_ref.steps) == ("reference", spec.steps)
+        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=mc_ref.paths,
+                                    base_seed=mc_ref.mc_seed)
+        assert moments.deviation_mean == pytest.approx(mc_ref.delta_mc, rel=1e-8, abs=0)
 
     def test_rejects_nodes_off_grid(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
