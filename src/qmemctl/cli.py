@@ -1,4 +1,12 @@
-"""Scenario ingestion, pipeline orchestration and artifact emission.
+"""Scenario ingestion and artifact emission around qmemctl.pipeline.
+
+`run` loads the scenario, answers `validate`, creates --out and writes and
+prints what pipeline.run's record holds; the stages, their option checks,
+the gates and the summary.json dict live in qmemctl.pipeline.  Only the CSV
+column lists are kept here.  The benchmark's tracer (perfbench/child.py,
+LAYERS) wraps `run` and `load_scenario` at this module's attributes, so both
+keep their names; it also wraps closedloop.integrate_matrix_ode and
+closedloop.sample_grid, which closedloop imports for that alone.
 
 Commands (one per invocation):
 
@@ -31,14 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, closedloop, control, filtering, model, montecarlo
+from . import checks, model, montecarlo, pipeline
 from .errors import PipelineError, QmemctlError, ScenarioFormatError
 
-DEFAULT_PATHS = 10_000
-DEFAULT_SEED = 1_234_567
-DEFAULT_EPSILON = 0.1
-
-COMMANDS = ("validate", "filter", "control", "simulate", "montecarlo", "decoherence", "full")
+COMMANDS = ("validate",) + pipeline.COMMANDS
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +228,6 @@ def _write_csv(path: Path, columns) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_stage_csv(out: Path, name: str, csvs: dict) -> int:
-    """End a stage command: write its one CSV, report it, return exit status 0."""
-    _write_csv(out / name, csvs[name])
-    print(f"wrote {out / name}")
-    return 0
-
-
 def _jsonable(value):
     """Plain JSON data, with every non-finite float (numpy ones too) as None."""
     if isinstance(value, (np.generic, np.ndarray)):
@@ -249,21 +246,35 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# commands
 
 
-def default_phi_star(Lambda: np.ndarray, cov0: np.ndarray, t0: np.ndarray) -> float:
-    """Reference cost scale <Lambda, P(0) + T(0)> + 1, with P(0) = [[1,1],[1,1]] kron cov0."""
-    return float(np.sum(Lambda * (np.tile(cov0, (2, 2)) + t0))) + 1.0
+def _csv_columns(result: pipeline.Run, name: str, moments: bool) -> list:
+    """CSV `name`'s (label, array) columns; closedloop.csv has vec(T) with `moments`."""
+    if name == "filter.csv":
+        filt = result.filter
+        return [("t", filt.times), ("P1", filt.P1), ("P2", filt.P2), ("P3", filt.P3),
+                ("K", filt.K)]
+    if name == "control.csv":
+        ctrl = result.control
+        return [("t", ctrl.times), ("Q1", ctrl.Q1), ("Q2", ctrl.Q2), ("Q3", ctrl.Q3),
+                ("c", ctrl.c)]
+    if name == "closedloop.csv":
+        closed = result.closed
+        return [("t", closed.times), ("Delta", closed.Delta), ("Phi", closed.Phi),
+                ("H_pont", closed.H_pont)] + ([("T", closed.T)] if moments else [])
+    # montecarlo.csv: one row per checkpoint
+    return [(f.name, [getattr(row, f.name) for row in result.rows])
+            for f in fields(montecarlo.CheckpointResidual)]
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except QmemctlError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"stage '{name}' failed: {exc}") from exc
+# The CSVs each command writes: a stage's own command writes its CSV, and
+# `full` every stage's.
+_CSVS = {
+    "filter": ("filter.csv",), "control": ("control.csv",), "simulate": ("closedloop.csv",),
+    "montecarlo": ("montecarlo.csv",), "decoherence": (),
+    "full": ("filter.csv", "control.csv", "closedloop.csv", "montecarlo.csv"),
+}
 
 
 def run(args: argparse.Namespace) -> int:
@@ -273,7 +284,7 @@ def run(args: argparse.Namespace) -> int:
     occurs, the scenario is invalid, or a gate of qmemctl.checks fails (cost
     identity, Monte Carlo agreement).
     """
-    spec = _stage("load", load_scenario, args.scenario)
+    spec = pipeline.stage("load", load_scenario, args.scenario)
     if args.steps is not None:
         spec = replace(spec, steps=args.steps)
 
@@ -288,125 +299,32 @@ def run(args: argparse.Namespace) -> int:
         }), indent=2, sort_keys=True))
         return 0 if report.ok else 1
 
-    sys_m = _stage("model", model.derive_system_matrices, spec)
-    # A command's decoherence and Monte Carlo options are checked by the
-    # library's own rules before any Riccati solve.
-    t0_matrix = np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
-    if args.command in ("montecarlo", "decoherence", "full"):
-        epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
-        phi_star = (default_phi_star(sys_m.Lambda, spec.cov0, t0_matrix)
-                    if args.phi_star is None else args.phi_star)
-        threshold = _stage("decoherence", closedloop.decoherence_threshold, epsilon, phi_star)
-    if args.command in ("montecarlo", "full"):
-        paths = DEFAULT_PATHS if args.paths is None else args.paths
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        _stage("montecarlo", montecarlo.check_ensemble, paths, seed)
-
+    # Options are refused before --out is made, and --out before any solve.
+    plan = pipeline.prepare(spec, args.command, paths=args.paths, seed=args.seed,
+                            epsilon=args.epsilon, phi_star=args.phi_star)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    filt = _stage("filter", filtering.solve_filter, sys_m, spec.cov0, spec.tau, spec.steps)
-    # Each stage's CSV columns, written by its own command and by `full`.
-    csvs = {"filter.csv": [("t", filt.times), ("P1", filt.P1), ("P2", filt.P2),
-                           ("P3", filt.P3), ("K", filt.K)]}
-    if args.command == "filter":
-        return _write_stage_csv(out, "filter.csv", csvs)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PipelineError(f"cannot create output directory {out}: {exc.strerror}") from None
+    result = pipeline.execute(plan)
 
-    ctrl = _stage("control", control.solve_control, sys_m, spec.Pi, spec.tau, spec.steps)
-    csvs["control.csv"] = [("t", ctrl.times), ("Q1", ctrl.Q1), ("Q2", ctrl.Q2),
-                           ("Q3", ctrl.Q3), ("c", ctrl.c)]
-    if args.command == "control":
-        return _write_stage_csv(out, "control.csv", csvs)
+    names = _CSVS[args.command]
+    for name in names:
+        _write_csv(out / name, _csv_columns(result, name, args.moments))
+    if result.summary is None:  # filter, control or simulate: its one CSV
+        print(f"wrote {out / names[0]}")
+        return 0
+    _write_summary(out / "summary.json", result.summary)
 
-    closed = _stage("closedloop", closedloop.solve_closed_loop,
-                    sys_m, filt, ctrl, spec.mean0, spec.tau)
-    csvs["closedloop.csv"] = [
-        ("t", closed.times), ("Delta", closed.Delta), ("Phi", closed.Phi),
-        ("H_pont", closed.H_pont),
-    ] + ([("T", closed.T)] if args.moments else [])
-    if args.command == "simulate":
-        return _write_stage_csv(out, "closedloop.csv", csvs)
-
-    phi_tau = float(closed.Phi[-1])
-    identity = _stage("identity", closedloop.min_cost_identity,
-                      filt, ctrl, t0_matrix, sys_m.Lambda, sys_m.G)
-    gates = checks.cost_identity(phi_tau, identity, spec.tau, spec.steps)
-    identity_residual = gates["cost_identity"]["value"]
-    # The Pontryagin trace is reported but not gated: its time variation is
-    # structural (the Kalman-gain forcing K(t) G K(t)' is time-dependent), so
-    # a threshold on it would fail every healthy run.
-    h_mean = float(closed.H_pont.mean())
-    h_variation = float(np.max(np.abs(closed.H_pont - h_mean)) / (1.0 + abs(h_mean)))
-
-    tau_dec = _stage("decoherence", closedloop.decoherence_time,
-                     closed.times, closed.Phi, epsilon, phi_star)
-
-    summary = {
-        "scenario": {
-            "n": spec.n, "m": spec.m, "d": spec.d, "r": spec.r, "s": spec.s,
-            "tau": spec.tau, "steps": spec.steps,
-        },
-        "cost": {
-            "delta_tau": float(closed.Delta[-1]),
-            "phi_tau": phi_tau,
-            "control_energy": float(phi_tau - closed.Delta[-1]),
-            "min_cost_identity": identity,
-            "identity_rel_residual": identity_residual,
-        },
-        "pontryagin": {"mean": h_mean, "rel_variation": h_variation},
-        "decoherence": {
-            "epsilon": epsilon,
-            "phi_star": phi_star,
-            "threshold": threshold,
-            "time": tau_dec,
-            "reached": tau_dec is not None,
-            "note": None if tau_dec is not None else "not reached within horizon",
-        },
-    }
-
-    if args.command in ("montecarlo", "full"):
-        gains = montecarlo.gain_schedule(filt, ctrl)
-        moments = _stage("montecarlo", montecarlo.simulate_ensemble,
-                         sys_m, gains, spec.mean0, spec.cov0, paths, seed)
-        rows = _stage("montecarlo", montecarlo.cross_moment_check, moments, closed, filt)
-        delta_ode = float(closed.Delta[-1])
-        gates.update(checks.monte_carlo(moments, rows, delta_ode))
-        summary["montecarlo"] = {
-            "paths": paths,
-            "base_seed": seed,
-            "substeps_per_node": montecarlo.SUBSTEPS_PER_NODE,
-            "delta_mc": moments.deviation_mean,
-            "delta_se": moments.deviation_se,
-            "delta_ode": delta_ode,
-            "delta_z": gates["mc_delta_within_3se"]["value"],
-            "cost_mc": moments.cost_mean,
-            "cost_se": moments.cost_se,
-            "smoothing_sqerr_mc": moments.smoothing_sqerr_mean,
-            "smoothing_sqerr_ode": float(np.trace(filt.P1[-1])),
-            "max_P_rel_err": gates["mc_P_relative_error"]["value"],
-            "max_T_rel_err": float(np.max([row.T_rel_err for row in rows])),
-            "mho_checkpoints_within_3se": gates["mc_mho_checkpoints"]["value"],
-            "checkpoints": len(rows),
-            "e_mean_within_3se": gates["mc_e_mean"]["value"],
-        }
-        _write_csv(out / "montecarlo.csv", [
-            (f.name, [getattr(row, f.name) for row in rows])
-            for f in fields(montecarlo.CheckpointResidual)
-        ])
-
-    summary["checks"] = gates
-
-    if args.command == "full":
-        for name, columns in csvs.items():
-            _write_csv(out / name, columns)
-
-    _write_summary(out / "summary.json", summary)
-
-    print(f"Phi(tau) = {_fmt(phi_tau)}, min-cost identity residual = {_fmt(identity_residual)}")
+    cost, tau_dec = result.summary["cost"], result.summary["decoherence"]["time"]
+    print(f"Phi(tau) = {_fmt(cost['phi_tau'])}, "
+          f"min-cost identity residual = {_fmt(cost['identity_rel_residual'])}")
     if tau_dec is None:
         print("decoherence threshold not reached within horizon")
     else:
         print(f"decoherence time = {_fmt(tau_dec)}")
-    failed = checks.failed(gates)
+    failed = checks.failed(result.gates)
     if failed:
         print(f"FAILED checks: {', '.join(failed)}")
     print(f"wrote {out / 'summary.json'}")
@@ -424,11 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--steps", type=int, default=None, help="override grid steps")
     parser.add_argument("--paths", type=int, default=None,
-                        help=f"Monte Carlo paths (default {DEFAULT_PATHS})")
+                        help=f"Monte Carlo paths (default {pipeline.DEFAULT_PATHS})")
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"Monte Carlo base seed (default {DEFAULT_SEED})")
+                        help=f"Monte Carlo base seed (default {pipeline.DEFAULT_SEED})")
     parser.add_argument("--epsilon", type=float, default=None,
-                        help=f"decoherence fidelity parameter (default {DEFAULT_EPSILON})")
+                        help=f"decoherence fidelity parameter (default {pipeline.DEFAULT_EPSILON})")
     parser.add_argument("--phi-star", type=float, default=None,
                         help="decoherence reference scale (default <Lambda,P0+T0>+1)")
     parser.add_argument("--moments", action="store_true",

@@ -46,6 +46,7 @@ checked for finiteness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,11 +265,15 @@ def bellman_value(t: float, Gamma: np.ndarray, control_sol, filter_sol,
 def decoherence_threshold(epsilon: float, phi_star: float) -> float:
     """The running cost epsilon * phi_star that decoherence_time looks for.
 
-    Raises ValueError when it is not positive.
+    Raises ValueError when it is not positive, or when epsilon or phi_star is
+    not positive and finite (two negative factors give a positive product).
     """
     threshold = epsilon * phi_star
     if not threshold > 0:
         raise ValueError(f"epsilon * phi_star must be positive, got {threshold}")
+    for name, value in (("epsilon", epsilon), ("phi_star", phi_star)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     return threshold
 
 
@@ -277,8 +282,8 @@ def decoherence_time(times: np.ndarray, phi: np.ndarray, epsilon: float,
     """First time the running cost reaches epsilon * phi_star, or None.
 
     The crossing is refined by linear interpolation between the bracketing
-    nodes.  Raises ValueError when the threshold epsilon * phi_star is not
-    positive (see decoherence_threshold).
+    nodes.  Raises ValueError when decoherence_threshold refuses epsilon and
+    phi_star.
     """
     threshold = decoherence_threshold(epsilon, phi_star)
     times = np.asarray(times, dtype=float)

@@ -1,21 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qmemctl import (
-    derive_system_matrices,
-    gain_schedule,
-    solve_closed_loop,
-    solve_control,
-    solve_filter,
-)
+from qmemctl import gain_schedule, pipeline
 from qmemctl.model import ScenarioSpec
 
 REFERENCE_TAU = 5.0
 
 
-def reference_spec(steps: int, d: int = 1) -> ScenarioSpec:
-    """Single-mode reference scenario; d=0 gives the uncontrolled baseline."""
-    return ScenarioSpec(
+def reference_spec(steps: int, d: int = 1, **overrides) -> ScenarioSpec:
+    """Single-mode reference scenario; d=0 gives the uncontrolled baseline.
+
+    Keyword `overrides` replace fields, as in dataclasses.replace.
+    """
+    return dataclasses.replace(ScenarioSpec(
         n=2, m=2, d=d, r=1, s=2,
         R=np.eye(2),
         M=np.eye(2),
@@ -27,7 +26,7 @@ def reference_spec(steps: int, d: int = 1) -> ScenarioSpec:
         cov0=0.5 * np.eye(2),
         tau=REFERENCE_TAU,
         steps=steps,
-    )
+    ), **overrides)
 
 
 def random_valid_scenario(rng: np.random.Generator, n: int, m: int) -> ScenarioSpec:
@@ -95,23 +94,28 @@ def ref_spec():
 
 
 @pytest.fixture(scope="session")
-def ref_sys(ref_spec):
-    return derive_system_matrices(ref_spec)
+def ref_run(ref_spec):
+    return pipeline.run(ref_spec, "simulate")
 
 
 @pytest.fixture(scope="session")
-def ref_filter(ref_spec, ref_sys):
-    return solve_filter(ref_sys, ref_spec.cov0, ref_spec.tau, ref_spec.steps)
+def ref_sys(ref_run):
+    return ref_run.sys
 
 
 @pytest.fixture(scope="session")
-def ref_control(ref_spec, ref_sys):
-    return solve_control(ref_sys, ref_spec.Pi, ref_spec.tau, ref_spec.steps)
+def ref_filter(ref_run):
+    return ref_run.filter
 
 
 @pytest.fixture(scope="session")
-def ref_closed(ref_spec, ref_sys, ref_filter, ref_control):
-    return solve_closed_loop(ref_sys, ref_filter, ref_control, ref_spec.mean0, ref_spec.tau)
+def ref_control(ref_run):
+    return ref_run.control
+
+
+@pytest.fixture(scope="session")
+def ref_closed(ref_run):
+    return ref_run.closed
 
 
 @pytest.fixture(scope="session")
@@ -122,11 +126,7 @@ def ref_gains(ref_filter, ref_control):
 @pytest.fixture(scope="session")
 def baseline_closed():
     """Uncontrolled (d = 0) reference run on the module-scale grid."""
-    spec = reference_spec(steps=2000, d=0)
-    sys_m = derive_system_matrices(spec)
-    filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-    ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
-    return solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
+    return pipeline.run(reference_spec(steps=2000, d=0), "simulate").closed
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +139,5 @@ def acc_spec():
 
 
 @pytest.fixture(scope="session")
-def acc_sys(acc_spec):
-    return derive_system_matrices(acc_spec)
-
-
-@pytest.fixture(scope="session")
-def acc_filter(acc_spec, acc_sys):
-    return solve_filter(acc_sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
-
-
-@pytest.fixture(scope="session")
-def acc_control(acc_spec, acc_sys):
-    return solve_control(acc_sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
-
-
-@pytest.fixture(scope="session")
-def acc_closed(acc_spec, acc_sys, acc_filter, acc_control):
-    return solve_closed_loop(acc_sys, acc_filter, acc_control, acc_spec.mean0, acc_spec.tau)
+def acc_run(acc_spec):
+    return pipeline.run(acc_spec, "simulate")

@@ -18,15 +18,12 @@ import numpy as np
 from conftest import random_valid_scenario, reference_spec
 from qmemctl import (
     checks,
-    cross_moment_check,
     FilterRiccati,
     derive_system_matrices,
-    gain_schedule,
     hamiltonian_matrix,
     integrate_matrix_ode,
-    min_cost_identity,
     physical_realizability_residual,
-    simulate_ensemble,
+    pipeline,
     solve_closed_loop,
     solve_control,
     solve_filter,
@@ -61,13 +58,13 @@ def test_c01_physical_realizability():
             f"(max residual {worst:.2e}, {elapsed:.2f}s over {len(specs)} scenarios)")
 
 
-def test_c02_block_cascade_fidelity(acc_spec, acc_sys):
+def test_c02_block_cascade_fidelity(acc_spec, acc_run):
     """The Moebius solutions against the independent RK4 block cascades."""
     start = time.perf_counter()
-    filt = solve_filter(acc_sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
-    ctrl = solve_control(acc_sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
-    filt_ref = solve_filter_cascade(acc_sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
-    ctrl_ref = solve_control_cascade(acc_sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
+    filt = solve_filter(acc_run.sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
+    ctrl = solve_control(acc_run.sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
+    filt_ref = solve_filter_cascade(acc_run.sys, acc_spec.cov0, acc_spec.tau, acc_spec.steps)
+    ctrl_ref = solve_control_cascade(acc_run.sys, acc_spec.Pi, acc_spec.tau, acc_spec.steps)
     elapsed = time.perf_counter() - start
     p_dev = np.max(np.abs(assemble_blocks(filt_ref.P1, filt_ref.P2, filt_ref.P3) - filt.P_full))
     p_rel = p_dev / (1.0 + np.max(np.abs(filt.P_full)))
@@ -79,22 +76,23 @@ def test_c02_block_cascade_fidelity(acc_spec, acc_sys):
             f"(filter {p_rel:.2e}, control {q_rel:.2e}, {elapsed:.2f}s)")
 
 
-def test_c03_terminal_and_initial_conditions(acc_spec, acc_sys, acc_filter, acc_control):
+def test_c03_terminal_and_initial_conditions(acc_spec, acc_run):
     ok = (
-        np.array_equal(acc_control.Q1[-1], acc_sys.Sigma)
-        and np.array_equal(acc_control.Q2[-1], -acc_sys.Sigma)
-        and np.array_equal(acc_control.Q3[-1], acc_sys.Sigma)
-        and np.array_equal(acc_filter.P1[0], acc_spec.cov0)
-        and np.array_equal(acc_filter.P2[0], acc_spec.cov0)
-        and np.array_equal(acc_filter.P3[0], acc_spec.cov0)
+        np.array_equal(acc_run.control.Q1[-1], acc_run.sys.Sigma)
+        and np.array_equal(acc_run.control.Q2[-1], -acc_run.sys.Sigma)
+        and np.array_equal(acc_run.control.Q3[-1], acc_run.sys.Sigma)
+        and np.array_equal(acc_run.filter.P1[0], acc_spec.cov0)
+        and np.array_equal(acc_run.filter.P2[0], acc_spec.cov0)
+        and np.array_equal(acc_run.filter.P3[0], acc_spec.cov0)
     )
     _report(3, "terminal/initial conditions exact", ok)
 
 
-def test_c04_smoothing_monotonicity(acc_filter):
-    diffs = acc_filter.P1[:-1] - acc_filter.P1[1:]  # P1(t) - P1(t') for adjacent t<t'
+def test_c04_smoothing_monotonicity(acc_run):
+    p1 = acc_run.filter.P1
+    diffs = p1[:-1] - p1[1:]  # P1(t) - P1(t') for adjacent t<t'
     worst = float(np.linalg.eigvalsh(diffs).min())
-    stride = acc_filter.P1[::250]
+    stride = p1[::250]
     pair_worst = 0.0
     for i in range(len(stride)):
         for j in range(i + 1, len(stride)):
@@ -105,37 +103,33 @@ def test_c04_smoothing_monotonicity(acc_filter):
             ok, f"(adjacent min eig {worst:.2e}, subsampled pairs {pair_worst:.2e})")
 
 
-def test_c05_kalman_gain_minimality(acc_spec, acc_sys, acc_filter):
+def test_c05_kalman_gain_minimality(acc_spec, acc_run):
+    sys_m, filt = acc_run.sys, acc_run.filter
     rng = np.random.default_rng(55)
-    deltas = np.array([rng.standard_normal(acc_filter.K.shape[1:]) for _ in range(10)])
+    deltas = np.array([rng.standard_normal(filt.K.shape[1:]) for _ in range(10)])
     deltas *= 0.1 / np.linalg.norm(deltas, axis=(1, 2), keepdims=True)
-    k_grid = TimeGrid(acc_filter.times, acc_filter.K)
-    steps = len(acc_filter.times) - 1
+    k_grid = TimeGrid(filt.times, filt.K)
+    steps = len(filt.times) - 1
 
     def rhs(t, p):
         k = sample_grid(k_grid, t) + deltas
-        drift = acc_sys.sA - k @ acc_sys.sC
-        noise = acc_sys.sB - k @ acc_sys.D
+        drift = sys_m.sA - k @ sys_m.sC
+        noise = sys_m.sB - k @ sys_m.D
         return drift @ p + p @ drift.swapaxes(1, 2) + noise @ noise.swapaxes(1, 2)
 
     detuned = integrate_matrix_ode(
         rhs, np.tile(acc_spec.cov0, (len(deltas), 2, 2)), 0.0, acc_spec.tau, steps,
         post_step=lambda s: 0.5 * (s + s.swapaxes(-2, -1)),
     )
-    gap = detuned.values - acc_filter.P_full[:, None]
+    gap = detuned.values - filt.P_full[:, None]
     worst = min(0.0, float(np.linalg.eigvalsh(gap).min()))
     _report(5, "Kalman-gain minimality", worst >= -1e-8, f"(min eig gap {worst:.2e})")
 
 
-def test_c06_cost_identity(acc_spec, acc_sys, acc_filter, acc_control):
+def test_c06_cost_identity(acc_spec):
     start = time.perf_counter()
-    closed = solve_closed_loop(acc_sys, acc_filter, acc_control, acc_spec.mean0,
-                               acc_spec.tau)
-    t0 = np.kron(np.ones((2, 2)), np.outer(acc_spec.mean0, acc_spec.mean0))
-    identity = min_cost_identity(acc_filter, acc_control, t0, acc_sys.Lambda, acc_sys.G)
+    gate = pipeline.run(acc_spec, "decoherence").gates["cost_identity"]
     elapsed = time.perf_counter() - start
-    gate = checks.cost_identity(float(closed.Phi[-1]), identity, acc_spec.tau,
-                                acc_spec.steps)["cost_identity"]
     ok = gate["passed"] and elapsed < 10.0
     _report(6, "cost identity", ok,
             f"(|Phi - identity| / (1 + |Phi|) = {gate['value']:.2e} vs {gate['limit']:.2e}, "
@@ -164,8 +158,9 @@ def pontryagin_variations(sys_m, filter_sol, control_sol, closed_sol):
     return variation(closed_sol.H_pont), variation(corrected)
 
 
-def test_c07_pontryagin_constancy(acc_sys, acc_filter, acc_control, acc_closed):
-    raw, corrected = pontryagin_variations(acc_sys, acc_filter, acc_control, acc_closed)
+def test_c07_pontryagin_constancy(acc_run):
+    raw, corrected = pontryagin_variations(acc_run.sys, acc_run.filter, acc_run.control,
+                                           acc_run.closed)
     _report(
         7, "Pontryagin constancy", corrected <= 1e-5,
         f"(H - int <Q, d(KGK')/dt> dt relative variation {corrected:.3e}; "
@@ -174,31 +169,27 @@ def test_c07_pontryagin_constancy(acc_sys, acc_filter, acc_control, acc_closed):
     )
 
 
-def test_c08_controller_optimality(acc_spec, acc_sys, acc_filter, acc_control,
-                                   acc_closed):
+def test_c08_controller_optimality(acc_spec, acc_run):
+    ctrl = acc_run.control
     rng = np.random.default_rng(88)
-    times = acc_control.times
-    phi_opt = float(acc_closed.Phi[-1])
+    times = ctrl.times
+    phi_opt = float(acc_run.closed.Phi[-1])
     knots = np.linspace(times[0], times[-1], 9)
     worst_gap = np.inf
     for _ in range(20):
-        knot_values = rng.standard_normal((9,) + acc_control.c.shape[1:])
-        delta = np.empty_like(acc_control.c)
+        knot_values = rng.standard_normal((9,) + ctrl.c.shape[1:])
+        delta = np.empty_like(ctrl.c)
         for a in range(delta.shape[1]):
             for b in range(delta.shape[2]):
                 delta[:, a, b] = np.interp(times, knots, knot_values[:, a, b])
         delta *= 0.05 / np.max(np.abs(delta))
         perturbed = solve_closed_loop(
-            acc_sys, acc_filter, acc_control, acc_spec.mean0, acc_spec.tau,
-            gain_override=acc_control.c + delta,
+            acc_run.sys, acc_run.filter, ctrl, acc_spec.mean0, acc_spec.tau,
+            gain_override=ctrl.c + delta,
         )
         worst_gap = min(worst_gap, float(perturbed.Phi[-1]) - phi_opt)
 
-    spec0 = reference_spec(steps=acc_spec.steps, d=0)
-    sys0 = derive_system_matrices(spec0)
-    filt0 = solve_filter(sys0, spec0.cov0, spec0.tau, spec0.steps)
-    ctrl0 = solve_control(sys0, spec0.Pi, spec0.tau, spec0.steps)
-    closed0 = solve_closed_loop(sys0, filt0, ctrl0, spec0.mean0, spec0.tau)
+    closed0 = pipeline.run(reference_spec(steps=acc_spec.steps, d=0), "simulate").closed
     baseline_gap = float(closed0.Delta[-1]) - phi_opt
 
     ok = worst_gap >= -1e-8 and baseline_gap >= 0.0
@@ -207,16 +198,12 @@ def test_c08_controller_optimality(acc_spec, acc_sys, acc_filter, acc_control,
             f"{baseline_gap:.3f})")
 
 
-def test_c09_monte_carlo_agreement(acc_spec, acc_sys, acc_filter, acc_control,
-                                   acc_closed):
-    gains = gain_schedule(acc_filter, acc_control)
+def test_c09_monte_carlo_agreement(acc_spec):
     start = time.perf_counter()
-    moments = simulate_ensemble(acc_sys, gains, acc_spec.mean0, acc_spec.cov0,
-                                paths=10_000, base_seed=1_234_567)
-    rows = cross_moment_check(moments, acc_closed, acc_filter)
+    result = pipeline.run(acc_spec, "montecarlo", paths=10_000, seed=1_234_567)
     elapsed = time.perf_counter() - start
 
-    gates = checks.monte_carlo(moments, rows, float(acc_closed.Delta[-1]))
+    gates, rows = result.gates, result.rows
     ok = not checks.failed(gates) and elapsed < 60.0
     _report(9, "Monte Carlo agreement", ok,
             f"(delta z {gates['mc_delta_within_3se']['value']:.2f}, "
@@ -226,10 +213,10 @@ def test_c09_monte_carlo_agreement(acc_spec, acc_sys, acc_filter, acc_control,
             f"{elapsed:.1f}s)")
 
 
-def test_c10_hamiltonian_matrix_singularity(acc_sys):
-    _, eigs = hamiltonian_matrix(acc_sys)
+def test_c10_hamiltonian_matrix_singularity(acc_run):
+    _, eigs = hamiltonian_matrix(acc_run.sys)
     zero_count = int(np.sum(np.abs(eigs) <= 1e-8))
-    _report(10, "Hamiltonian-matrix singularity", zero_count >= 2 * acc_sys.n,
+    _report(10, "Hamiltonian-matrix singularity", zero_count >= 2 * acc_run.sys.n,
             f"({zero_count} eigenvalues with modulus <= 1e-8 of {len(eigs)})")
 
 

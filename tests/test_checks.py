@@ -6,33 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import reference_spec
-from qmemctl import (
-    checks,
-    cross_moment_check,
-    derive_system_matrices,
-    gain_schedule,
-    simulate_ensemble,
-    solve_closed_loop,
-    solve_control,
-    solve_filter,
-)
+from qmemctl import checks, cross_moment_check, gain_schedule, pipeline, simulate_ensemble
 from qmemctl.montecarlo import GainSchedule
 
 
 @pytest.fixture(scope="module")
 def ref500():
-    spec = reference_spec(steps=500)
-    sys_m = derive_system_matrices(spec)
-    filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-    ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
-    closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
-    return spec, sys_m, filt, ctrl, closed
-
-
-def _healthy_ensemble(ref500):
-    spec, sys_m, filt, ctrl, _ = ref500
-    return simulate_ensemble(sys_m, gain_schedule(filt, ctrl), spec.mean0, spec.cov0,
-                             paths=200, base_seed=3)
+    """A healthy 200-path Monte Carlo run on a 500-step reference grid."""
+    return pipeline.run(reference_spec(steps=500), "montecarlo", paths=200, seed=3)
 
 
 class TestIdentityLimit:
@@ -72,16 +53,16 @@ class TestMonteCarloGates:
         # A feedback gain 80 too large: the state stays finite, its square
         # overflows, so the deviation is inf and its standard error NaN.  The
         # failed gate reports it; numpy prints no overflow warning on the way.
-        spec, sys_m, filt, ctrl, closed = ref500
-        gains = gain_schedule(filt, ctrl)
+        spec, closed = reference_spec(steps=500), ref500.closed
+        gains = gain_schedule(ref500.filter, ref500.control)
         c = gains.c.copy()
         c[:, 0, 2] += 80.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             moments = simulate_ensemble(
-                sys_m, GainSchedule(gains.times, gains.K, c, gains.Pi), spec.mean0,
+                ref500.sys, GainSchedule(gains.times, gains.K, c, gains.Pi), spec.mean0,
                 spec.cov0, paths=2000, base_seed=1_234_567)
-            rows = cross_moment_check(moments, closed, filt)
+            rows = cross_moment_check(moments, closed, ref500.filter)
             gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert moments.deviation_mean == np.inf and np.isnan(moments.deviation_se)
         assert np.max([row.T_rel_err for row in rows]) == np.inf
@@ -89,33 +70,29 @@ class TestMonteCarloGates:
         assert "mc_delta_within_3se" in checks.failed(gates)
 
     def test_nan_covariance_row_fails_p_gate(self, ref500):
-        spec, sys_m, filt, ctrl, closed = ref500
-        moments = _healthy_ensemble(ref500)
+        moments, closed = ref500.moments, ref500.closed
         second_e = moments.second_e.copy()
         second_e[3, 0, 0] = np.nan  # a non-first checkpoint
         rows = cross_moment_check(dataclasses.replace(moments, second_e=second_e),
-                                  closed, filt)
+                                  closed, ref500.filter)
         assert np.isnan(rows[3].P_rel_err) and not np.isnan(rows[0].P_rel_err)
         gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert np.isnan(gates["mc_P_relative_error"]["value"])
         assert not gates["mc_P_relative_error"]["passed"]
 
     def test_nan_error_mean_fails_e_mean_gate(self, ref500):
-        spec, sys_m, filt, ctrl, closed = ref500
-        moments = _healthy_ensemble(ref500)
+        moments, closed = ref500.moments, ref500.closed
         mean_e = moments.mean_e.copy()
         mean_e[5, 1] = np.nan
-        rows = cross_moment_check(dataclasses.replace(moments, mean_e=mean_e), closed, filt)
+        rows = cross_moment_check(dataclasses.replace(moments, mean_e=mean_e), closed,
+                                  ref500.filter)
         assert rows[5].e_mean_max_z == np.inf
         gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
         assert not gates["mc_e_mean"]["passed"]
 
     def test_non_finite_energy_fails_cost_gate(self, ref500):
-        spec, sys_m, filt, ctrl, closed = ref500
-        moments = _healthy_ensemble(ref500)
-        rows = cross_moment_check(moments, closed, filt)
-        delta_ode = float(closed.Delta[-1])
-        healthy = checks.monte_carlo(moments, rows, delta_ode)
+        moments, rows, healthy = ref500.moments, ref500.rows, ref500.gates
+        delta_ode = float(ref500.closed.Delta[-1])
         assert healthy["mc_cost_finite"] == {"passed": True, "value": [], "limit": []}
         broken = dataclasses.replace(moments, control_energy_mean=np.inf)
         gates = checks.monte_carlo(broken, rows, delta_ode)
@@ -127,17 +104,13 @@ class TestMonteCarloGates:
     def test_z_limit_is_read_by_the_gates_alone(self, ref500, monkeypatch):
         # The rows are measurements only: lowering the limit below every
         # checkpoint's z-scores leaves them as they are and fails both gates.
-        spec, sys_m, filt, ctrl, closed = ref500
-        moments = _healthy_ensemble(ref500)
-        rows = cross_moment_check(moments, closed, filt)
-        delta_ode = float(closed.Delta[-1])
-        healthy = checks.monte_carlo(moments, rows, delta_ode)
+        moments, rows, healthy = ref500.moments, ref500.rows, ref500.gates
         assert healthy["mc_mho_checkpoints"]["passed"] and healthy["mc_e_mean"]["passed"]
         limit = 0.5 * min(min(row.mho_max_z, row.e_mean_max_z) for row in rows)
         assert limit > 0.0
         monkeypatch.setattr(checks, "Z_LIMIT", limit)
-        assert cross_moment_check(moments, closed, filt) == rows
-        gates = checks.monte_carlo(moments, rows, delta_ode)
+        assert cross_moment_check(moments, ref500.closed, ref500.filter) == rows
+        gates = checks.monte_carlo(moments, rows, float(ref500.closed.Delta[-1]))
         assert gates["mc_mho_checkpoints"]["value"] == 0
         assert not gates["mc_mho_checkpoints"]["passed"]
         assert gates["mc_e_mean"] == {"passed": False, "value": False, "limit": True}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmemctl import ScenarioFormatError, checks, filtering, montecarlo
+from qmemctl import ScenarioFormatError, checks, filtering, montecarlo, pipeline
 from qmemctl.cli import load_scenario, main
 
 REFERENCE = {
@@ -165,13 +165,10 @@ class TestStageCommands:
         assert len((out / "filter.csv").read_text().splitlines()) == 102
 
     def test_csv_round_trips_floats_exactly(self, tmp_path):
-        from qmemctl import derive_system_matrices, solve_filter
-
         scen = write_scenario(tmp_path / "s.json", steps=50)
         out = tmp_path / "out"
         main(["filter", "--scenario", str(scen), "--out", str(out)])
-        spec = load_scenario(scen)
-        filt = solve_filter(derive_system_matrices(spec), spec.cov0, spec.tau, spec.steps)
+        filt = pipeline.run(load_scenario(scen), "filter").filter
         line = (out / "filter.csv").read_text().splitlines()[1 + 17]
         values = np.array([float(v) for v in line.split(",")])
         assert values[0] == filt.times[17]
@@ -246,7 +243,12 @@ class TestFullPipeline:
         (["--paths", "1"], "stage 'montecarlo' failed: need at least 2 paths, got 1"),
         (["--paths", "50", "--epsilon", "0"],
          "stage 'decoherence' failed: epsilon * phi_star must be positive, got 0.0"),
-    ], ids=["-1", str(2**64), "paths-1", "epsilon-0"])
+        # A positive product of two negatives, and an infinite factor.
+        (["--paths", "50", "--epsilon", "-0.1", "--phi-star", "-10"],
+         "stage 'decoherence' failed: epsilon must be positive and finite, got -0.1"),
+        (["--paths", "50", "--phi-star", "inf"],
+         "stage 'decoherence' failed: phi_star must be positive and finite, got inf"),
+    ], ids=["-1", str(2**64), "paths-1", "epsilon-0", "both-negative", "phi-star-inf"])
     def test_out_of_range_seed_exits_with_error(self, tmp_path, capsys, monkeypatch,
                                                 options, message):
         # Such a seed used to be reduced mod 2^64 (2^64 ran seed 0) while
@@ -260,6 +262,18 @@ class TestFullPipeline:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_a_file_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(filtering, "solve_filter",
+                            lambda *args: pytest.fail("solve_filter ran"))
+        scen = write_scenario(tmp_path / "s.json", steps=40)
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        rc = main(["filter", "--scenario", str(scen), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot create output directory {out}: File exists\n"
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["filter", "simulate", "decoherence"])
     def test_options_checked_only_where_used(self, tmp_path, command):
@@ -305,10 +319,7 @@ def _matrix_columns(label, rows, cols):
 
 @pytest.mark.parametrize("d", [1, 0])
 def test_artifact_headers(tmp_path, d):
-    """The complete, ordered CSV headers, the same from `full` and each stage command.
-
-    With d = 0 the gain c has no columns.
-    """
+    """The complete, ordered CSV headers of `full`; with d = 0 the gain c has no columns."""
     scen = write_scenario(tmp_path / "s.json", steps=200,
                           **({} if d else {"N": None, "Pi": None}))
     common = ["--scenario", str(scen), "--paths", "200", "--seed", "8", "--moments"]
@@ -326,12 +337,23 @@ def test_artifact_headers(tmp_path, d):
         lines = (tmp_path / "full" / name).read_text().splitlines()
         assert lines[0].split(",") == header, name
         assert all(len(line.split(",")) == len(header) for line in lines[1:]), name
-    stages = {"filter": "filter.csv", "control": "control.csv",
-              "simulate": "closedloop.csv", "montecarlo": "montecarlo.csv"}
-    for command, name in stages.items():
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_every_command_writes_the_bytes_of_full(tmp_path, d):
+    """Each stage command writes its CSV as `full` does, and `montecarlo` its summary too."""
+    scen = write_scenario(tmp_path / "s.json", steps=400,
+                          **({} if d else {"N": None, "Pi": None}))
+    common = ["--scenario", str(scen), "--paths", "200", "--seed", "8", "--moments"]
+    main(["full", "--out", str(tmp_path / "full")] + common)
+    stages = {"filter": ["filter.csv"], "control": ["control.csv"],
+              "simulate": ["closedloop.csv"], "montecarlo": ["montecarlo.csv", "summary.json"]}
+    for command, names in stages.items():
         out = tmp_path / command
         main([command, "--out", str(out)] + common)
-        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        assert sorted(p.name for p in out.iterdir()) == sorted(names), command
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
 
 def test_summary_json_writes_non_finite_numpy_values_as_null():

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import n8_spec
+from conftest import n8_spec, reference_spec
 from qmemctl import (
     ControlRiccati,
     DivergenceError,
@@ -13,36 +14,18 @@ from qmemctl import (
     bellman_value,
     closedloop,
     decoherence_time,
-    derive_system_matrices,
     min_cost_identity,
     moment_rhs,
     ode,
+    pipeline,
     solve_closed_loop,
     solve_control,
-    solve_filter,
 )
 from qmemctl.closedloop import _closed_loop_coefficients, _cumtrapz, _lyapunov_rhs
-from qmemctl.model import ScenarioSpec
 from qmemctl.ode import TimeGrid, congruence, integrate_matrix_ode, sample_grid
 
 
-def _spec(**overrides):
-    base = dict(
-        n=2, m=2, d=1, r=1, s=2,
-        R=np.eye(2), M=np.eye(2), N=[[0.0, 1.0]], D=[[1.0, 0.0]],
-        F=np.eye(2), Pi=[[1.0]], mean0=[1.0, 0.0], cov0=0.5 * np.eye(2),
-        tau=5.0, steps=1000,
-    )
-    base.update(overrides)
-    return ScenarioSpec(**base)
-
-
-def _pipeline(spec):
-    sys_m = derive_system_matrices(spec)
-    filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-    ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
-    closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
-    return sys_m, filt, ctrl, closed
+_spec = functools.partial(reference_spec, steps=1000)
 
 
 def _t0(spec):
@@ -172,12 +155,12 @@ def _separate_mean_pass(sys_m, ctrl, mean0, tau, gain_override=None):
 
 
 def _assert_matches_interpolation(spec, gain_override=None):
-    sys_m, filt, ctrl, _ = _pipeline(spec)
-    override = None if gain_override is None else gain_override(ctrl)
-    closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+    run = pipeline.run(spec, "simulate")
+    override = None if gain_override is None else gain_override(run.control)
+    closed = solve_closed_loop(run.sys, run.filter, run.control, spec.mean0, spec.tau,
                                gain_override=override)
-    expected = _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
-                                       gain_override=override)
+    expected = _transition_closed_loop(run.sys, run.filter, run.control, spec.mean0,
+                                       spec.tau, gain_override=override)
     for name, values in expected.items():
         assert np.array_equal(getattr(closed, name), values), name
 
@@ -239,12 +222,12 @@ class TestGainTables:
     def test_close_to_time_search_interpolation(self, spec):
         # The lattice rule weighs a midpoint by exactly 1/2; sample_grid's
         # weight, from rounded times, is off 1/2 by up to about 1e-12.
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        expected = _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
-                                           rule=_time_search)
+        run = pipeline.run(spec, "simulate")
+        expected = _transition_closed_loop(run.sys, run.filter, run.control, spec.mean0,
+                                           spec.tau, rule=_time_search)
         for name, values in expected.items():
             scale = 1.0 + np.max(np.abs(values))
-            assert np.max(np.abs(getattr(closed, name) - values)) <= 1e-15 * scale, name
+            assert np.max(np.abs(getattr(run.closed, name) - values)) <= 1e-15 * scale, name
 
     def test_no_sample_grid_call(self, monkeypatch, ref_spec, ref_sys, ref_filter,
                                  ref_control, ref_closed):
@@ -271,9 +254,10 @@ class TestTransitionRecursion:
         gaps = []
         for steps in (spec.steps, 2 * spec.steps, 4 * spec.steps):
             scaled = dataclasses.replace(spec, steps=steps)
-            sys_m, filt, ctrl, closed = _pipeline(scaled)
-            expected = _lyapunov_rk4_moments(sys_m, filt, ctrl, scaled.mean0, scaled.tau)
-            gaps.append(np.max(np.abs(closed.T - expected)) / np.max(np.abs(expected)))
+            run = pipeline.run(scaled, "simulate")
+            expected = _lyapunov_rk4_moments(run.sys, run.filter, run.control, scaled.mean0,
+                                             scaled.tau)
+            gaps.append(np.max(np.abs(run.closed.T - expected)) / np.max(np.abs(expected)))
         assert gaps[0] > 1e-12
         assert gaps[0] / gaps[1] >= 12.0 and gaps[1] / gaps[2] >= 12.0, gaps
 
@@ -284,11 +268,12 @@ class TestTransitionRecursion:
         (n8_spec(1, steps=500), True),
     ], ids=["reference", "n8", "reference_override", "n8_override"])
     def test_exactly_symmetric_at_every_node(self, spec, perturb):
-        sys_m, filt, ctrl, closed = _pipeline(spec)
+        run = pipeline.run(spec, "simulate")
+        closed = run.closed
         if perturb:
             rng = np.random.default_rng(5)
-            override = ctrl.c + 0.05 * rng.standard_normal(ctrl.c.shape)
-            closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
+            override = run.control.c + 0.05 * rng.standard_normal(run.control.c.shape)
+            closed = solve_closed_loop(run.sys, run.filter, run.control, spec.mean0, spec.tau,
                                        gain_override=override)
         assert np.array_equal(closed.T, closed.T.swapaxes(1, 2))
 
@@ -298,7 +283,8 @@ class TestDivergence:
         # A constant gain of 200 makes sA + sE c unstable enough that Z
         # overflows at step 716, inside the third block of 256 steps.
         spec = _spec(steps=2000)
-        sys_m, filt, ctrl, _ = _pipeline(spec)
+        run = pipeline.run(spec, "simulate")
+        sys_m, filt, ctrl = run.sys, run.filter, run.control
         override = np.full_like(ctrl.c, 200.0)
         with pytest.raises(DivergenceError) as per_step:
             _transition_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau,
@@ -324,7 +310,8 @@ class TestBorderedMean:
         (_spec(steps=2000), True),
     ], ids=["reference", "n8", "uncontrolled", "gain_override"])
     def test_matches_separate_pass(self, spec, perturb):
-        sys_m, filt, ctrl, _ = _pipeline(spec)
+        run = pipeline.run(spec, "simulate")
+        sys_m, filt, ctrl = run.sys, run.filter, run.control
         override = None
         if perturb:
             rng = np.random.default_rng(21)
@@ -346,12 +333,10 @@ class TestMemory:
         # The coefficient tables span one block of steps, not the whole
         # lattice: full-lattice tables would take this case to about 44 MB.
         spec = n8_spec(1, steps=2000)
-        sys_m = derive_system_matrices(spec)
-        filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-        ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
+        run = pipeline.run(spec, "control")
         tracemalloc.start()
         try:
-            solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
+            solve_closed_loop(run.sys, run.filter, run.control, spec.mean0, spec.tau)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -366,7 +351,7 @@ class TestSolveClosedLoop:
     def test_deterministic_zero_system_stays_zero(self):
         spec = _spec(M=np.zeros((2, 2)), cov0=np.zeros((2, 2)), mean0=[0.0, 0.0],
                      steps=200)
-        _, _, _, closed = _pipeline(spec)
+        closed = pipeline.run(spec, "simulate").closed
         assert not closed.T.any()
         assert np.max(np.abs(closed.Delta)) == 0.0
         assert np.max(np.abs(closed.Phi)) == 0.0
@@ -427,26 +412,23 @@ class TestCostIdentity:
 
     def test_identity_on_fine_grid(self):
         spec = _spec(steps=4000)
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        identity = min_cost_identity(filt, ctrl, _t0(spec), sys_m.Lambda, sys_m.G)
-        phi = closed.Phi[-1]
-        assert abs(phi - identity) <= 1e-6 * (1.0 + abs(phi))
+        cost = pipeline.run(spec, "decoherence").summary["cost"]
+        phi = cost["phi_tau"]
+        assert abs(phi - cost["min_cost_identity"]) <= 1e-6 * (1.0 + abs(phi))
 
     def test_uncontrolled_identity_reduces_to_deviation(self):
         spec = _spec(d=0, N=np.zeros((0, 2)), Pi=np.zeros((0, 0)), steps=2000)
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        identity = min_cost_identity(filt, ctrl, _t0(spec), sys_m.Lambda, sys_m.G)
-        delta = closed.Delta[-1]
-        assert abs(identity - delta) <= 1e-6 * (1.0 + abs(delta))
-        assert closed.Phi[-1] == closed.Delta[-1]
+        cost = pipeline.run(spec, "decoherence").summary["cost"]
+        delta = cost["delta_tau"]
+        assert abs(cost["min_cost_identity"] - delta) <= 1e-6 * (1.0 + abs(delta))
+        assert cost["phi_tau"] == delta
 
     def test_no_noise_no_signal_zero_cost(self):
         spec = _spec(M=np.zeros((2, 2)), cov0=np.zeros((2, 2)), mean0=[0.0, 0.0],
                      steps=200)
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        identity = min_cost_identity(filt, ctrl, _t0(spec), sys_m.Lambda, sys_m.G)
-        assert identity == 0.0
-        assert closed.Phi[-1] == 0.0
+        cost = pipeline.run(spec, "decoherence").summary["cost"]
+        assert cost["min_cost_identity"] == 0.0
+        assert cost["phi_tau"] == 0.0
 
 
 class TestPontryaginHamiltonian:
@@ -466,7 +448,7 @@ class TestPontryaginHamiltonian:
     def test_static_trivial_system_is_identically_zero(self):
         spec = _spec(R=np.zeros((2, 2)), M=np.zeros((2, 2)), d=0,
                      N=np.zeros((0, 2)), Pi=np.zeros((0, 0)), steps=100)
-        _, _, _, closed = _pipeline(spec)
+        closed = pipeline.run(spec, "simulate").closed
         assert np.max(np.abs(closed.H_pont)) == 0.0
 
     def test_time_average_consistent_with_quadrature(self, ref_closed):
@@ -521,10 +503,10 @@ class TestDecoherenceTime:
         assert abs(t_cross - 1e-3) < 1e-12
 
     def test_halfway_crossing_stable_under_refinement(self):
-        _, _, _, coarse = _pipeline(_spec(steps=1000))
+        coarse = pipeline.run(_spec(steps=1000), "simulate").closed
         threshold = 0.5 * coarse.Phi[-1]
         t_coarse = decoherence_time(coarse.times, coarse.Phi, 0.5, coarse.Phi[-1])
-        _, _, _, fine = _pipeline(_spec(steps=4000))
+        fine = pipeline.run(_spec(steps=4000), "simulate").closed
         t_fine = decoherence_time(fine.times, fine.Phi, 1.0, threshold)
         assert t_coarse is not None and t_fine is not None
         assert abs(t_coarse - t_fine) < 5e-3
@@ -537,6 +519,11 @@ class TestDecoherenceTime:
             decoherence_time(times, np.ones(5), 0.0, 1.0)
         with pytest.raises(ValueError):
             decoherence_time(times, np.ones(5), 0.1, -1.0)
+        # Each factor is checked on its own: two negatives make a positive
+        # product, and an infinite factor is refused too.
+        for epsilon, phi_star in [(-0.1, -10.0), (np.inf, 1.0)]:
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                decoherence_time(times, np.ones(5), epsilon, phi_star)
 
 
 def test_gain_perturbations_never_beat_optimum(ref_spec, ref_sys, ref_filter,

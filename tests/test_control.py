@@ -1,23 +1,16 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import reference_spec
 from qmemctl import ControlRiccati, derive_system_matrices, solve_control
 from qmemctl.control import solve_control_cascade
-from qmemctl.model import ScenarioSpec
 from qmemctl.ode import assemble_blocks
 
 
-def _spec(**overrides):
-    base = dict(
-        n=2, m=2, d=1, r=1, s=2,
-        R=np.eye(2), M=np.eye(2), N=[[0.0, 1.0]], D=[[1.0, 0.0]],
-        F=np.eye(2), Pi=[[1.0]], mean0=[1.0, 0.0], cov0=0.5 * np.eye(2),
-        tau=5.0, steps=1000,
-    )
-    base.update(overrides)
-    return ScenarioSpec(**base)
+_spec = functools.partial(reference_spec, steps=1000)
 
 
 def _random_symmetric(rng, n):

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from conftest import reference_spec
 from qmemctl import (
     DimensionError,
     InvalidScenarioError,
@@ -9,20 +12,12 @@ from qmemctl import (
     physical_realizability_residual,
     validate_spec,
 )
-from qmemctl.model import ScenarioSpec, SystemMatrices
+from qmemctl.model import SystemMatrices
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _spec(**overrides):
-    base = dict(
-        n=2, m=2, d=1, r=1, s=2,
-        R=np.eye(2), M=np.eye(2), N=[[0.0, 1.0]], D=[[1.0, 0.0]],
-        F=np.eye(2), Pi=[[1.0]], mean0=[1.0, 0.0], cov0=0.5 * np.eye(2),
-        tau=5.0, steps=100,
-    )
-    base.update(overrides)
-    return ScenarioSpec(**base)
+_spec = functools.partial(reference_spec, steps=100)
 
 
 class TestStructureMatrices:

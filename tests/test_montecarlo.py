@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import re
 import sys
@@ -13,50 +14,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import n8_spec, random_valid_scenario
+from conftest import n8_spec, random_valid_scenario, reference_spec
 from qmemctl import (
     DivergenceError,
     GridMismatchError,
     checkpoint_nodes,
     cross_moment_check,
     derive_path_seed,
-    derive_system_matrices,
     gain_schedule,
+    pipeline,
     psd_sqrt,
     simulate_ensemble,
-    solve_closed_loop,
-    solve_control,
-    solve_filter,
 )
-from qmemctl import checks, montecarlo
+from qmemctl import montecarlo
 from qmemctl.model import ScenarioSpec
 from qmemctl.montecarlo import GainSchedule, splitmix64
 
 
-def _spec(**overrides):
-    base = dict(
-        n=2, m=2, d=1, r=1, s=2,
-        R=np.eye(2), M=np.eye(2), N=[[0.0, 1.0]], D=[[1.0, 0.0]],
-        F=np.eye(2), Pi=[[1.0]], mean0=[1.0, 0.0], cov0=0.5 * np.eye(2),
-        tau=5.0, steps=500,
-    )
-    base.update(overrides)
-    return ScenarioSpec(**base)
-
-
-def _pipeline(spec):
-    sys_m = derive_system_matrices(spec)
-    filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-    ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
-    closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
-    return sys_m, filt, ctrl, closed
+_spec = functools.partial(reference_spec, steps=500)
 
 
 @pytest.fixture(scope="module")
 def mc_setup():
     spec = _spec()
-    sys_m, filt, ctrl, closed = _pipeline(spec)
-    return spec, sys_m, filt, ctrl, closed, gain_schedule(filt, ctrl)
+    run = pipeline.run(spec, "simulate")
+    return (spec, run.sys, run.filter, run.control, run.closed,
+            gain_schedule(run.filter, run.control))
 
 
 def _benchmark_workloads():
@@ -291,8 +274,9 @@ class TestSamplePath:
 
     def test_noiseless_path_tracks_mean_ode(self):
         spec = _spec(M=np.zeros((2, 2)), cov0=np.zeros((2, 2)), steps=500)
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        gains = gain_schedule(filt, ctrl)
+        run = pipeline.run(spec, "simulate")
+        sys_m, filt, closed = run.sys, run.filter, run.closed
+        gains = gain_schedule(filt, run.control)
         assert not filt.K.any()  # no observation channel content
         path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=1, substeps_per_node=4)
         err4 = np.max(np.abs(path.mean_y[:, 4:] - closed.x_mean))
@@ -580,8 +564,8 @@ class TestNodeOperators:
     def test_matches_substep_loop(self, monkeypatch, scenario, sub, budget, nodes):
         spec = (random_valid_scenario(np.random.default_rng(scenario[3]), *scenario[1:3])
                 if scenario[0] == "random" else n8_spec(*scenario[1:]))
-        sys_m, filt, ctrl, _ = _pipeline(spec)
-        gains = gain_schedule(filt, ctrl)
+        run = pipeline.run(spec, "control")
+        sys_m, gains = run.sys, gain_schedule(run.filter, run.control)
         paths = 12
         width = spec.steps
         if budget is not None:
@@ -631,8 +615,8 @@ class TestNodeOperators:
         # budget even when a few paths draw little noise; whole-grid
         # operators took this case to about 360 MB.
         spec = n8_spec(1, steps=4000)
-        sys_m, filt, ctrl, _ = _pipeline(spec)
-        gains = gain_schedule(filt, ctrl)
+        run = pipeline.run(spec, "control")
+        sys_m, gains = run.sys, gain_schedule(run.filter, run.control)
         budget = 1 << 21  # doubles: 16 MB
         monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", budget)
         tracemalloc.start()
@@ -651,8 +635,8 @@ class TestNodeOperators:
         # doubles a path (z, its energy squares, the horizon scalars), never
         # by noise.
         spec = _spec(steps=100)
-        sys_m, filt, ctrl, _ = _pipeline(spec)
-        gains = gain_schedule(filt, ctrl)
+        run = pipeline.run(spec, "control")
+        sys_m, gains = run.sys, gain_schedule(run.filter, run.control)
         sub = 16
         assert montecarlo._TILE_FOOTPRINT // (4 * spec.n + sub * spec.m) < 2000
         monkeypatch.setattr(montecarlo, "_NOISE_BUDGET", 1 << 20)
@@ -997,21 +981,16 @@ def test_ensemble_loads_no_numpy_ma():
     code = textwrap.dedent("""\
         import sys
         import numpy as np
-        from qmemctl import (cross_moment_check, derive_system_matrices, gain_schedule,
-                             simulate_ensemble, solve_closed_loop, solve_control,
-                             solve_filter)
+        from qmemctl import cross_moment_check, gain_schedule, pipeline, simulate_ensemble
         from qmemctl.model import ScenarioSpec
         spec = ScenarioSpec(n=2, m=2, d=1, r=1, s=2, R=np.eye(2), M=np.eye(2),
                             N=[[0.0, 1.0]], D=[[1.0, 0.0]], F=np.eye(2), Pi=[[1.0]],
                             mean0=[1.0, 0.0], cov0=0.5 * np.eye(2), tau=1.0, steps=50)
-        sys_m = derive_system_matrices(spec)
-        filt = solve_filter(sys_m, spec.cov0, spec.tau, spec.steps)
-        ctrl = solve_control(sys_m, spec.Pi, spec.tau, spec.steps)
-        closed = solve_closed_loop(sys_m, filt, ctrl, spec.mean0, spec.tau)
-        for nodes in (None, [50, 0, 25, 25]):
-            moments = simulate_ensemble(sys_m, gain_schedule(filt, ctrl), spec.mean0,
-                                        spec.cov0, paths=20, base_seed=1, nodes=nodes)
-            cross_moment_check(moments, closed, filt)
+        run = pipeline.run(spec, "montecarlo", paths=20, seed=1)
+        moments = simulate_ensemble(run.sys, gain_schedule(run.filter, run.control),
+                                    spec.mean0, spec.cov0, paths=20, base_seed=1,
+                                    nodes=[50, 0, 25, 25])
+        cross_moment_check(moments, run.closed, run.filter)
         print(*sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
     """)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -1047,30 +1026,21 @@ class TestWeakConvergence:
 class TestCrossMomentCheck:
     def test_noiseless_residuals_vanish(self):
         spec = _spec(M=np.zeros((2, 2)), cov0=np.zeros((2, 2)), steps=300)
-        sys_m, filt, ctrl, closed = _pipeline(spec)
-        gains = gain_schedule(filt, ctrl)
-        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=10,
-                                    base_seed=3)
-        rows = cross_moment_check(moments, closed, filt)
-        for row in rows:
+        run = pipeline.run(spec, "montecarlo", paths=10, seed=3)
+        for row in run.rows:
             assert row.mho_max_abs == 0.0
             assert row.e_mean_norm == 0.0
             assert row.P_rel_err == 0.0
             assert row.T_rel_err < 2e-2  # Euler vs RK4 discretization only
-        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
-        assert gates["mc_mho_checkpoints"]["value"] == len(rows)
-        assert gates["mc_e_mean"]["value"]
+        assert run.gates["mc_mho_checkpoints"]["value"] == len(run.rows)
+        assert run.gates["mc_e_mean"]["value"]
 
-    def test_reference_statistics_within_bands(self, mc_setup):
-        spec, sys_m, filt, ctrl, closed, gains = mc_setup
-        moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4000,
-                                    base_seed=1234567)
-        rows = cross_moment_check(moments, closed, filt)
-        gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
-        assert len(rows) == 10
-        assert gates["mc_mho_checkpoints"]["value"] >= 9
-        assert gates["mc_P_relative_error"]["value"] <= 0.05
-        assert np.max([row.T_rel_err for row in rows]) <= 0.05
+    def test_reference_statistics_within_bands(self):
+        run = pipeline.run(_spec(), "montecarlo", paths=4000, seed=1234567)
+        assert len(run.rows) == 10
+        assert run.gates["mc_mho_checkpoints"]["value"] >= 9
+        assert run.gates["mc_P_relative_error"]["value"] <= 0.05
+        assert np.max([row.T_rel_err for row in run.rows]) <= 0.05
 
     @pytest.mark.parametrize("checkpoints", [0, 1])
     def test_fewer_than_two_checkpoints_rejected(self, checkpoints):
@@ -1083,8 +1053,8 @@ class TestCrossMomentCheck:
     def test_grid_mismatch_rejected(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
         other = _spec(steps=100)
-        o_sys, o_filt, o_ctrl, _ = _pipeline(other)
-        moments = simulate_ensemble(o_sys, gain_schedule(o_filt, o_ctrl),
+        o_run = pipeline.run(other, "control")
+        moments = simulate_ensemble(o_run.sys, gain_schedule(o_run.filter, o_run.control),
                                     other.mean0, other.cov0, paths=10, base_seed=1)
         with pytest.raises(GridMismatchError):
             cross_moment_check(moments, closed, filt)
