@@ -135,50 +135,65 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
     """Check every structural invariant of a scenario and report violations.
 
     Never raises; each problem becomes a report entry with the offending
-    quantity and the measured residual.  Checks that depend on a matrix with
-    a wrong shape or a non-finite entry are skipped for that matrix.
+    quantity and the measured residual.  A count (n, m, d, r, s, steps) that
+    is not an int or numpy integer (bools excluded) is flagged as
+    "<name> integer", and the checks that read it are skipped; so are the
+    checks that depend on a matrix with a wrong shape or a non-finite entry.
     """
     bad: list[Violation] = []
 
     def flag(invariant, detail, residual=float("nan")):
         bad.append(Violation(invariant, detail, float(residual)))
 
+    counts = {"n": spec.n, "m": spec.m, "d": spec.d, "r": spec.r, "s": spec.s,
+              "steps": spec.steps}
+    # integer[name]: the count is an int, so the checks that read it can run.
+    integer = {}
+    for name, value in counts.items():
+        integer[name] = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer[name]:
+            flag(f"{name} integer", f"{name} = {value!r}")
+
     n, m, d, r, s = spec.n, spec.m, spec.d, spec.r, spec.s
-    if n <= 0 or n % 2 != 0:
+    if integer["n"] and (n <= 0 or n % 2 != 0):
         flag("n even positive", f"n = {n}")
-    if m <= 0 or m % 2 != 0:
+    if integer["m"] and (m <= 0 or m % 2 != 0):
         flag("m even positive", f"m = {m}")
-    if d < 0:
+    if integer["d"] and d < 0:
         flag("d nonnegative", f"d = {d}")
-    if not (1 <= r <= m // 2):
+    if integer["r"] and integer["m"] and not (1 <= r <= m // 2):
         flag("1 <= r <= m/2", f"r = {r}, m = {m}")
-    if not (1 <= s <= n):
+    if integer["s"] and integer["n"] and not (1 <= s <= n):
         flag("1 <= s <= n", f"s = {s}, n = {n}")
     if not np.isfinite(spec.tau):
         flag("tau finite", f"tau = {spec.tau}")
     elif not spec.tau > 0:
         flag("tau positive", f"tau = {spec.tau}")
-    if spec.steps < 1:
+    if integer["steps"] and spec.steps < 1:
         flag("steps >= 1", f"steps = {spec.steps}")
 
     shapes = {
-        "R": (n, n),
-        "M": (m, n),
-        "N": (d, n),
-        "D": (r, m),
-        "F": (s, n),
-        "Pi": (d, d),
-        "cov0": (n, n),
-        "mean0": (n,),
+        "R": ("n", "n"),
+        "M": ("m", "n"),
+        "N": ("d", "n"),
+        "D": ("r", "m"),
+        "F": ("s", "n"),
+        "Pi": ("d", "d"),
+        "cov0": ("n", "n"),
+        "mean0": ("n",),
     }
     # usable: the field has its shape and finite entries, so the checks
-    # below that read it can run.
+    # below that read it can run.  A shape with a non-integer count is not
+    # checked, and its field is not usable.
     usable = {}
-    for name, shape in shapes.items():
+    for name, dims in shapes.items():
         value = getattr(spec, name)
-        usable[name] = value.shape == shape
-        if not usable[name]:
-            flag(f"{name} shape", f"expected {shape}, got {value.shape}")
+        usable[name] = all(integer[dim] for dim in dims)
+        if usable[name]:
+            shape = tuple(counts[dim] for dim in dims)
+            usable[name] = value.shape == shape
+            if not usable[name]:
+                flag(f"{name} shape", f"expected {shape}, got {value.shape}")
         non_finite = int(np.count_nonzero(~np.isfinite(value)))
         if non_finite:
             usable[name] = False

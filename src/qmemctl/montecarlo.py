@@ -51,17 +51,17 @@ Which thread draws a path cannot change its draws, each path's stream is
 consumed in order whatever the tiling, and a row's products do not depend
 on the other rows of its block, so every path's state, and every
 terminal-scalar statistic, is bit-identical whatever the thread count,
-block or window.  Moments are accumulated only at the requested grid nodes,
-by default the checkpoint_nodes cross_moment_check compares: as a block
-passes such a node it adds its own rows' moments to the node's running
-sums, and the blocks add in path order (the partitioned update of Chan,
-Golub & LeVeque 1983), so no copy of the population's state is held.  The
-node moments are therefore bit-identical whatever the thread count or
-window; the block, a constant of the model's shapes, moves them by
-round-off only.  The state is checked for finiteness at every node, by one
-sum that screens the whole block.  The oracle returns ensemble statistics only
-(simulate_ensemble); two paths with one seed give a single path's
-trajectory as their mean.
+block or window.  Moments of z = (e, x) are accumulated only at the
+requested grid nodes, by default the checkpoint_nodes cross_moment_check
+compares: as a block passes such a node it adds its own rows' sums of z,
+z'z and (x o x)'(e o e) to the node's running sums, and the blocks add in
+path order (the partitioned update of Chan, Golub & LeVeque 1983), so no
+copy of the population's state is held.  The node moments are therefore
+bit-identical whatever the thread count or window; the block, a constant
+of the model's shapes, moves them by round-off only.  The state is checked
+for finiteness at every node, by one sum that screens the whole block.  The
+oracle returns ensemble statistics only (simulate_ensemble); two paths with
+one seed give a single path's trajectory as their mean.
 """
 
 from __future__ import annotations
@@ -135,10 +135,14 @@ def splitmix64(values) -> np.ndarray:
     return z
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer, bools excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _uint64_seed(seed, name: str) -> int:
     """seed as a Python int; it must be an int in [0, 2^64), or ValueError names it."""
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or not 0 <= seed <= _MASK64):
+    if not _is_int(seed) or not 0 <= seed <= _MASK64:
         raise ValueError(f"{name} = {seed!r} is not an int in [0, 2^64)")
     return int(seed)
 
@@ -315,25 +319,23 @@ class SampleMoments:
 
     `nodes` holds the indices, into the gain grid, of the nodes that were
     accumulated, in increasing order; `times` are their times, and row k of
-    every per-node array belongs to node `nodes[k]`.  `mean_y` and
-    `second_y` are the empirical first/second moments of the stacked vector
-    y = (sX; x).  The statistics of the estimation error
-    e = sX - x are accumulated from the propagated e itself, never differenced
-    from the sX and x blocks: `mean_e` and `second_e` are its first/second
-    moments, `cross_xe` is the empirical mean of the outer product x e', and
-    `cross_xe_sq` the mean of its entrywise squares (kept so entrywise
-    standard errors are available).  Terminal-scalar statistics are taken at
-    the horizon whatever the nodes, and carry standard errors directly.
+    every per-node array belongs to node `nodes[k]`.  `mean` and `second`
+    are the empirical first and second moments of the propagated state
+    z = (e, x), the estimation error e = sX - x over the controller state x,
+    so second[k] = [[E e e', E e x'], [E x e', E x x']]: the sampled leading
+    4n block of the chain's second moment.  The error statistics are thus
+    read from the propagated e itself, never differenced from sX and x.
+    `cross_xe_sq` is the mean of the entrywise squares of x e', kept so the
+    x e' block has entrywise standard errors.  Terminal-scalar statistics
+    are taken at the horizon whatever the nodes, and carry standard errors
+    directly.
     """
 
     paths: int
     nodes: np.ndarray
     times: np.ndarray
-    mean_y: np.ndarray
-    second_y: np.ndarray
-    mean_e: np.ndarray
-    second_e: np.ndarray
-    cross_xe: np.ndarray
+    mean: np.ndarray
+    second: np.ndarray
     cross_xe_sq: np.ndarray
     deviation_mean: float
     deviation_se: float
@@ -343,25 +345,6 @@ class SampleMoments:
     control_energy_se: float
     cost_mean: float
     cost_se: float
-
-    @property
-    def joint_dim(self) -> int:
-        return self.mean_y.shape[1] // 2
-
-    def x_second(self) -> np.ndarray:
-        k = self.joint_dim
-        return self.second_y[:, k:, k:]
-
-    def e_mean_se(self) -> np.ndarray:
-        var = np.einsum("tii->ti", self.second_e) - self.mean_e ** 2
-        return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
-
-    def cross_xe_se(self) -> np.ndarray:
-        # An overflowed entry gives a NaN standard error; checks.z_score
-        # fails it, so numpy's warnings are only noise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            var = self.cross_xe_sq - self.cross_xe ** 2
-            return np.sqrt(np.clip(var, 0.0, None) / max(self.paths - 1, 1))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -486,22 +469,21 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     at its first non-finite node, and the window's earliest such node, and
     its first path, is reported once every block has run.  At each
     accumulated node (`nodes`, default the checkpoints, node 0 included) a
-    block adds its own rows' moments to the node's six sums, the blocks in
-    path order; sX = e + x is rebuilt in a scratch of the block's rows whose
-    initial copy is the block's X0, so that it stays bitwise frozen.  The
-    next tile is drawn on a thread pool, one _draw_chunk job a chunk, while
-    this one propagates.  Every path's state and the terminal scalars depend
-    only on (seeds, substeps), bit for bit, whatever the tiling or thread
-    count; the node sums depend on the block too, but not on the window or
-    the thread count.
+    block adds its own rows' z, z'z and (x o x)'(e o e) to the node's three
+    sums, the blocks in path order.  Only the horizon deviation reads sX,
+    as (X0; e + x).  The next tile is drawn on a thread pool, one
+    _draw_chunk job a chunk, while this one propagates.  Every path's state
+    and the terminal scalars depend only on (seeds, substeps), bit for bit,
+    whatever the tiling or thread count; the node sums depend on the block
+    too, but not on the window or the thread count.
     """
     mean0 = np.asarray(mean0, dtype=float).reshape(-1)
     cov0_factor = np.asarray(cov0_factor, dtype=float)
     times = gains.times
     steps = len(times) - 1
+    if not _is_int(substeps_per_node) or substeps_per_node < 1:
+        raise ValueError(f"substeps_per_node must be an int >= 1, got {substeps_per_node!r}")
     sub = int(substeps_per_node)
-    if sub < 1:
-        raise ValueError(f"substeps_per_node must be >= 1, got {sub}")
     nodes = _node_indices(nodes, steps)
     h = float(times[-1] - times[0]) / (steps * sub)
     pi_sqrt = psd_sqrt(gains.Pi)
@@ -526,22 +508,13 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
     kept = len(nodes)
     mean_sum = np.zeros((kept, dim))
     second_sum = np.zeros((kept, dim, dim))
-    e_sum = np.zeros((kept, twon))
-    e_second_sum = np.zeros((kept, twon, twon))
-    cross_sum = np.zeros((kept, twon, twon))
     cross_sq_sum = np.zeros((kept, twon, twon))
 
-    def accumulate(k: int, z: np.ndarray, y: np.ndarray) -> None:
-        """Add the moments of a block's states z to slot k; y holds its X0 block."""
-        err = z[:, :twon]
-        x_part = z[:, twon:]
-        np.add(err[:, n:], x_part[:, n:], out=y[:, n:twon])
-        y[:, twon:] = x_part
-        mean_sum[k] += y.sum(axis=0)
-        second_sum[k] += y.T @ y
-        e_sum[k] += err.sum(axis=0)
-        e_second_sum[k] += err.T @ err
-        cross_sum[k] += x_part.T @ err
+    def accumulate(k: int, z: np.ndarray) -> None:
+        """Add the moments of a block's states z = (e, x) to slot k."""
+        err, x_part = z[:, :twon], z[:, twon:]
+        mean_sum[k] += z.sum(axis=0)
+        second_sum[k] += z.T @ z
         cross_sq_sum[k] += (x_part * x_part).T @ (err * err)
 
     def diverged(path: int, node: int) -> DivergenceError:
@@ -572,9 +545,8 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         block = min(rows, count)
         tiles = [(q0, min(q0 + width, steps), lo, min(lo + block, count))
                  for q0 in range(0, steps, width) for lo in range(0, count, block)]
-        # a block's state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1}),
-        # and its y = (sX; x) at an accumulated node
-        buffers = [np.empty(block * cols) for _ in range(4)]
+        # a block's state, next state and noise term: (z, L_0 x_0, ..., L_{s-1} x_{s-1})
+        buffers = [np.empty(block * cols) for _ in range(3)]
         noise_buffers = [np.empty(block * width * draws) for _ in range(2)]
 
         def tile(i: int) -> np.ndarray:
@@ -612,14 +584,11 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                     w_z = w_w = None  # before the window's operators are folded
                     w_z, w_w = _node_operators(sys, gains, sub, h, pi_sqrt, q0, q1)
                     first_bad = None  # (node, path) of the window's first non-finite state
-                state, ahead, drive, y = (buf[:(hi - lo) * cols].reshape((hi - lo, cols),
-                                                                          order="F")
-                                          for buf in buffers)
-                y = y[:, :dim]
-                y[:, :n] = plant0[lo:hi]  # sX's initial copy stays X0 for good
+                state, ahead, drive = (buf[:(hi - lo) * cols].reshape((hi - lo, cols), order="F")
+                                       for buf in buffers)
                 state[:, :dim] = z[lo:hi]
                 if q0 == 0 and slot[0] >= 0:
-                    accumulate(0, state[:, :dim], y)
+                    accumulate(0, state[:, :dim])
                 for q in range(q0, q1):
                     np.matmul(state[:, :dim], w_z[q - q0], out=ahead)
                     np.matmul(noise[q - q0], w_w[q - q0], out=drive)
@@ -636,7 +605,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
                             first_bad = (q + 1, lo + bad)
                         break
                     if slot[q + 1] >= 0:
-                        accumulate(slot[q + 1], state[:, :dim], y)
+                        accumulate(slot[q + 1], state[:, :dim])
                 z[lo:hi] = state[:, :dim]
                 if hi == count and first_bad is not None:  # the window's last block
                     raise diverged(first_bad[1], first_bad[0])
@@ -645,7 +614,7 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         g_final = ((z[:, twon:] @ (pi_sqrt @ gains.c[-1]).T) ** 2).sum(axis=1)
         energy = h * squares.sum(axis=1) + (0.5 * h) * (g_final - g_first)
 
-        # sX at the horizon, rebuilt as at the nodes (the horizon may not be one).
+        # sX at the horizon: its initial copy is X0 and its live part e + x.
         s_final = np.empty((count, twon))
         s_final[:, :n] = plant0
         np.add(z[:, n:twon], z[:, twon + n:], out=s_final[:, n:])
@@ -662,11 +631,8 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
         paths=count,
         nodes=nodes,
         times=times[nodes],
-        mean_y=mean_sum / count,
-        second_y=second_sum / count,
-        mean_e=e_sum / count,
-        second_e=e_second_sum / count,
-        cross_xe=cross_sum / count,
+        mean=mean_sum / count,
+        second=second_sum / count,
         cross_xe_sq=cross_sq_sum / count,
         deviation_mean=dev_mean,
         deviation_se=dev_se,
@@ -680,7 +646,9 @@ def _propagate(sys, gains: GainSchedule, mean0, cov0_factor, seeds,
 
 
 def check_ensemble(paths: int, base_seed: int) -> None:
-    """simulate_ensemble's ValueError unless paths >= 2 and base_seed is in [0, 2^64)."""
+    """simulate_ensemble's ValueError unless paths is an int >= 2 and base_seed is in [0, 2^64)."""
+    if not _is_int(paths):
+        raise ValueError(f"paths must be an int, got {paths!r}")
     if paths < 2:
         raise ValueError(f"need at least 2 paths, got {paths}")
     _uint64_seed(base_seed, "base_seed")
@@ -759,17 +727,25 @@ def cross_moment_check(moments: SampleMoments, closedloop_sol, filter_sol
     if not np.array_equal(grid, closedloop_sol.times):
         raise GridMismatchError("ensemble and closed-loop grids differ")
 
-    e_mean = moments.mean_e
-    e_mean_se = moments.e_mean_se()
-    e_second = moments.second_e
-    x_second = moments.x_second()
-    mho_se = moments.cross_xe_se()
+    twon = moments.mean.shape[1] // 2
+    e_mean = moments.mean[:, :twon]
+    e_second = moments.second[:, :twon, :twon]
+    x_second = moments.second[:, twon:, twon:]
+    cross_xe = moments.second[:, twon:, :twon]
+    scale = max(moments.paths - 1, 1)
+    e_var = np.einsum("tii->ti", e_second) - e_mean ** 2
+    e_mean_se = np.sqrt(np.clip(e_var, 0.0, None) / scale)
+    # An overflowed x e' entry gives a NaN standard error; checks.z_score
+    # fails it, so numpy's warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mho_var = moments.cross_xe_sq - cross_xe ** 2
+        mho_se = np.sqrt(np.clip(mho_var, 0.0, None) / scale)
 
     return tuple(
         CheckpointResidual(
             t=float(moments.times[i]),
-            mho_max_abs=float(np.max(np.abs(moments.cross_xe[i]))),
-            mho_max_z=float(np.max(checks.z_score(moments.cross_xe[i], mho_se[i]))),
+            mho_max_abs=float(np.max(np.abs(cross_xe[i]))),
+            mho_max_z=float(np.max(checks.z_score(cross_xe[i], mho_se[i]))),
             e_mean_norm=float(np.linalg.norm(e_mean[i])),
             e_mean_max_z=float(np.max(checks.z_score(e_mean[i], e_mean_se[i]))),
             P_rel_err=_rel_err(e_second[i], filter_sol.P_full[node]),

@@ -71,9 +71,9 @@ class TestMonteCarloGates:
 
     def test_nan_covariance_row_fails_p_gate(self, ref500):
         moments, closed = ref500.moments, ref500.closed
-        second_e = moments.second_e.copy()
-        second_e[3, 0, 0] = np.nan  # a non-first checkpoint
-        rows = cross_moment_check(dataclasses.replace(moments, second_e=second_e),
+        second = moments.second.copy()
+        second[3, 0, 0] = np.nan  # P's entry at a non-first checkpoint
+        rows = cross_moment_check(dataclasses.replace(moments, second=second),
                                   closed, ref500.filter)
         assert np.isnan(rows[3].P_rel_err) and not np.isnan(rows[0].P_rel_err)
         gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))
@@ -82,9 +82,9 @@ class TestMonteCarloGates:
 
     def test_nan_error_mean_fails_e_mean_gate(self, ref500):
         moments, closed = ref500.moments, ref500.closed
-        mean_e = moments.mean_e.copy()
-        mean_e[5, 1] = np.nan
-        rows = cross_moment_check(dataclasses.replace(moments, mean_e=mean_e), closed,
+        mean = moments.mean.copy()
+        mean[5, 1] = np.nan  # an estimation-error entry
+        rows = cross_moment_check(dataclasses.replace(moments, mean=mean), closed,
                                   ref500.filter)
         assert rows[5].e_mean_max_z == np.inf
         gates = checks.monte_carlo(moments, rows, float(closed.Delta[-1]))

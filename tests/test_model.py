@@ -139,6 +139,16 @@ class TestValidate:
         with pytest.raises(InvalidScenarioError, match=f"{name} finite"):
             derive_system_matrices(spec)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n", 2.0), ("m", 2.0), ("d", 1.0), ("r", True), ("s", 2.0),
+        ("steps", 2.5), ("steps", "10"),
+    ])
+    def test_non_integer_count_reported_not_raised(self, name, value):
+        spec = _spec(**{name: value})
+        assert [v.invariant for v in validate_spec(spec).violations] == [f"{name} integer"]
+        with pytest.raises(InvalidScenarioError, match=f"{name} integer"):
+            derive_system_matrices(spec)
+
     @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan])
     def test_non_finite_tau_reported(self, tau):
         spec = _spec(tau=tau)

@@ -18,6 +18,7 @@ from conftest import n8_spec, random_valid_scenario, reference_spec
 from qmemctl import (
     DivergenceError,
     GridMismatchError,
+    PipelineError,
     checkpoint_nodes,
     cross_moment_check,
     derive_path_seed,
@@ -223,7 +224,7 @@ class TestSeeding:
         spec, sys_m, _, _, _, gains = mc_setup
         top = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
                                 base_seed=0, seeds=[0, np.uint64(2**64 - 1)])
-        assert np.isfinite(top.mean_y).all()
+        assert np.isfinite(top.mean).all()
 
 
 class TestPsdSqrt:
@@ -256,19 +257,22 @@ class TestSamplePath:
         spec, sys_m, _, _, _, gains = mc_setup
         a = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=99)
         b = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=99)
-        assert np.array_equal(a.mean_y, b.mean_y)
+        assert np.array_equal(a.mean, b.mean)
         assert a.control_energy_mean == b.control_energy_mean
 
     def test_initial_copy_frozen(self, mc_setup):
+        # sX's initial copy is X0 for good: e and x each move in their first
+        # n entries, but their sum stays at node 0's value to round-off
+        # (at most 2.6e-15 over 500 nodes here, against entries near 1).
         spec, sys_m, _, _, _, gains = mc_setup
         path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=5)
-        np.testing.assert_array_equal(path.mean_y[:, :2],
-                                      np.broadcast_to(path.mean_y[0, :2], (len(path.times), 2)))
+        frozen = path.mean[:, :2] + path.mean[:, 4:6]
+        assert np.max(np.abs(frozen - frozen[0])) <= 1e-14
 
     def test_controller_initialized_at_duplicated_mean(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
         path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=5)
-        np.testing.assert_array_equal(path.mean_y[0, 4:],
+        np.testing.assert_array_equal(path.mean[0, 4:],
                                       np.concatenate([spec.mean0, spec.mean0]))
         assert path.times[0] == 0.0
 
@@ -279,17 +283,19 @@ class TestSamplePath:
         gains = gain_schedule(filt, run.control)
         assert not filt.K.any()  # no observation channel content
         path = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=1, substeps_per_node=4)
-        err4 = np.max(np.abs(path.mean_y[:, 4:] - closed.x_mean))
+        err4 = np.max(np.abs(path.mean[:, 4:] - closed.x_mean))
         assert err4 < 5e-3  # Euler bias only, O(h)
-        np.testing.assert_allclose(path.mean_y[:, :4], path.mean_y[:, 4:], atol=1e-12)
+        # no plant noise, no gain and cov0 = 0: the estimation error is exactly 0
+        np.testing.assert_array_equal(path.mean[:, :4], 0.0)
         path8 = _one_path(sys_m, gains, spec.mean0, spec.cov0, seed=1, substeps_per_node=8)
-        err8 = np.max(np.abs(path8.mean_y[:, 4:] - closed.x_mean))
+        err8 = np.max(np.abs(path8.mean[:, 4:] - closed.x_mean))
         assert 1.5 <= err4 / err8 <= 3.0  # first-order convergence
 
 
 def test_single_step_increment_covariance():
     # Static plant with identity-padded noise: the one-step increment of sX
-    # is exactly sqrt(h) sB dw, so its covariance is h sB sB'.
+    # is exactly sqrt(h) sB dw, so its covariance is h sB sB'.  x stays 0
+    # without gains, so the e block of the second moment is sX's.
     from qmemctl.model import SystemMatrices
 
     n, m = 2, 2
@@ -313,7 +319,7 @@ def test_single_step_increment_covariance():
     )
     moments = simulate_ensemble(sys_m, gains, np.zeros(n), np.zeros((n, n)),
                                 paths=100_000, base_seed=314, substeps_per_node=1)
-    cov = moments.second_y[1][:2 * n, :2 * n]
+    cov = moments.second[1][:2 * n, :2 * n]
     expected = h * sb @ sb.T
     assert np.max(np.abs(cov - expected)) <= 0.05 * h
 
@@ -327,13 +333,30 @@ class TestEnsemble:
             simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=3,
                               base_seed=1, seeds=[1, 2])
 
+    @pytest.mark.parametrize("paths", [2.5, 4.0, "5", True])
+    def test_rejects_non_integer_path_counts(self, mc_setup, paths):
+        spec, sys_m, _, _, _, gains = mc_setup
+        message = re.escape(f"paths must be an int, got {paths!r}")
+        with pytest.raises(ValueError, match=message):
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=paths, base_seed=1)
+        with pytest.raises(PipelineError, match="stage 'montecarlo' failed: " + message):
+            pipeline.run(spec, "montecarlo", paths=paths)
+
+    @pytest.mark.parametrize("sub", [2.7, 4.0, "4", True, 0])
+    def test_rejects_non_integer_substeps(self, mc_setup, sub):
+        spec, sys_m, _, _, _, gains = mc_setup
+        message = re.escape(f"substeps_per_node must be an int >= 1, got {sub!r}")
+        with pytest.raises(ValueError, match=message):
+            simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2, base_seed=1,
+                              substeps_per_node=sub)
+
     def test_bit_identical_on_rerun(self, mc_setup):
         spec, sys_m, _, _, _, gains = mc_setup
         a = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
                               base_seed=2024)
         b = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=300,
                               base_seed=2024)
-        for field in ("mean_y", "second_y", "cross_xe", "cross_xe_sq"):
+        for field in ("mean", "second", "cross_xe_sq"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert (a.deviation_mean, a.cost_mean, a.cost_se) == \
                (b.deviation_mean, b.cost_mean, b.cost_se)
@@ -342,7 +365,7 @@ class TestEnsemble:
         spec, sys_m, _, _, _, gains = mc_setup
         moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=2,
                                     base_seed=0, seeds=[11, 11])
-        spread = moments.second_y[-1] - np.outer(moments.mean_y[-1], moments.mean_y[-1])
+        spread = moments.second[-1] - np.outer(moments.mean[-1], moments.mean[-1])
         assert np.max(np.abs(spread)) == 0.0
         assert moments.deviation_se == 0.0
 
@@ -350,9 +373,9 @@ class TestEnsemble:
         spec, sys_m, _, _, _, gains = mc_setup
         moments = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=500,
                                     base_seed=7)
-        sym = np.max(np.abs(moments.second_y - np.swapaxes(moments.second_y, 1, 2)))
+        sym = np.max(np.abs(moments.second - np.swapaxes(moments.second, 1, 2)))
         assert sym <= 1e-12
-        assert np.linalg.eigvalsh(moments.second_y).min() >= -1e-10
+        assert np.linalg.eigvalsh(moments.second).min() >= -1e-10
 
     def test_matches_moment_pipeline(self, mc_setup):
         spec, sys_m, filt, ctrl, closed, gains = mc_setup
@@ -382,8 +405,8 @@ class TestEnsemble:
                                   base_seed=99, nodes=idx)
         large = simulate_ensemble(sys_m, gains, spec.mean0, spec.cov0, paths=4000,
                                   base_seed=99, nodes=idx)
-        rms_small = np.sqrt(np.mean(small.mean_e ** 2))
-        rms_large = np.sqrt(np.mean(large.mean_e ** 2))
+        rms_small = np.sqrt(np.mean(small.mean[:, :4] ** 2))
+        rms_large = np.sqrt(np.mean(large.mean[:, :4] ** 2))
         assert 0.25 <= rms_large / rms_small <= 1.0
 
     def test_checkpoint_nodes_match_all_node_ensemble(self, mc_setup):
@@ -402,8 +425,7 @@ class TestEnsemble:
         assert np.array_equal(sparse.times, gains.times[nodes])
         assert np.array_equal(inner.nodes, [0, 250])
         for part, idx in ((sparse, nodes), (inner, [0, 250])):
-            for field in ("mean_y", "second_y", "mean_e", "second_e", "cross_xe",
-                          "cross_xe_sq"):
+            for field in ("mean", "second", "cross_xe_sq"):
                 assert np.array_equal(getattr(part, field), getattr(full, field)[idx]), field
             for field in ("deviation_mean", "deviation_se", "smoothing_sqerr_mean",
                           "smoothing_sqerr_se", "control_energy_mean",
@@ -478,7 +500,6 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
     """
     mean0 = np.asarray(mean0, dtype=float)
     n, m = sys_m.n, sys_m.m
-    twon = 2 * n
     count = len(seeds)
     steps = len(gains.times) - 1
     total = steps * sub
@@ -492,17 +513,12 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
     e = np.concatenate([spread0, spread0], axis=1)
     x = np.tile(np.concatenate([mean0, mean0]), (count, 1))
     pi_root = psd_sqrt(gains.Pi)
-    sums = {name: [] for name in ("mean_y", "second_y", "mean_e", "second_e",
-                                  "cross_xe", "cross_xe_sq")}
-
-    def plant(e, x):
-        return np.concatenate([plant0, e[:, n:] + x[:, n:]], axis=1)
+    sums = {name: [] for name in ("mean", "second", "cross_xe_sq")}
 
     def record(e, x):
-        y = np.concatenate([plant(e, x), x], axis=1)
-        for name, value in (("mean_y", y.sum(axis=0)), ("second_y", y.T @ y),
-                            ("mean_e", e.sum(axis=0)), ("second_e", e.T @ e),
-                            ("cross_xe", x.T @ e), ("cross_xe_sq", (x * x).T @ (e * e))):
+        z = np.concatenate([e, x], axis=1)
+        for name, value in (("mean", z.sum(axis=0)), ("second", z.T @ z),
+                            ("cross_xe_sq", (x * x).T @ (e * e))):
             sums[name].append(value / count)
 
     def energy_rate(x, c):
@@ -526,7 +542,7 @@ def _substep_reference(sys_m, gains, mean0, cov0, seeds, sub, nodes):
             record(e, x)
     energy += (0.5 * h) * energy_rate(x, gains.c[-1])
 
-    s_final = plant(e, x)
+    s_final = np.concatenate([plant0, e[:, n:] + x[:, n:]], axis=1)
     deviation = np.einsum("bi,ij,bj->b", s_final, sys_m.Lambda, s_final)
     scalars = {}
     for name, values in (("deviation", deviation),
@@ -707,7 +723,7 @@ class TestTileShape:
                                         paths=12, base_seed=3)
         # the check at node 0 and at the first propagated node, at least
         assert len(tripped) == 501 and tripped[0] and tripped[1]
-        assert np.isfinite(moments.mean_e).all()
+        assert np.isfinite(moments.mean).all()
 
 
 class TestThreadedNoise:
