@@ -9,6 +9,9 @@ functionals (closedloop), and verify everything against a classical
 Gaussian surrogate simulation (montecarlo), with pass/fail limits (checks).
 Each Riccati formula is reached through one class, FilterRiccati or
 ControlRiccati, which holds the equation's constant coefficients.
+
+The oracle's names below are resolved on first use (PEP 562), so a command
+that never samples does not import qmemctl.montecarlo.
 """
 
 from .closedloop import (
@@ -39,16 +42,19 @@ from .model import (
     physical_realizability_residual,
     validate_spec,
 )
-from .montecarlo import (
-    GainSchedule,
-    SampleMoments,
-    checkpoint_nodes,
-    cross_moment_check,
-    derive_path_seed,
-    gain_schedule,
-    psd_sqrt,
-    simulate_ensemble,
-)
 from .ode import TimeGrid, integrate_matrix_ode, sample_grid
 
 __version__ = "0.1.0"
+
+# Names of qmemctl.montecarlo that the package exports, imported on first use.
+_MONTECARLO = frozenset({
+    "GainSchedule", "SampleMoments", "checkpoint_nodes", "cross_moment_check",
+    "derive_path_seed", "gain_schedule", "psd_sqrt", "simulate_ensemble",
+})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, model, montecarlo, pipeline
+from . import checks, model, pipeline
 from .errors import PipelineError, QmemctlError, ScenarioFormatError
 
 COMMANDS = ("validate",) + pipeline.COMMANDS
@@ -264,6 +264,7 @@ def _csv_columns(result: pipeline.Run, name: str, moments: bool) -> list:
         return [("t", closed.times), ("Delta", closed.Delta), ("Phi", closed.Phi),
                 ("H_pont", closed.H_pont)] + ([("T", closed.T)] if moments else [])
     # montecarlo.csv: one row per checkpoint
+    from . import montecarlo
     return [(f.name, [getattr(row, f.name) for row in result.rows])
             for f in fields(montecarlo.CheckpointResidual)]
 

@@ -47,7 +47,7 @@ checked for finiteness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ from .ode import integrate_matrix_ode, sample_grid  # noqa: F401
 _BLOCK_STEPS = 256
 
 
-@dataclass(frozen=True)
-class ClosedLoopSolution:
+class ClosedLoopSolution(NamedTuple):
     """Closed-loop moment grids and scalar diagnostics."""
 
     times: np.ndarray
@@ -150,9 +149,12 @@ def _step_bordered(bordered: np.ndarray, c_values: np.ndarray, k_values: np.ndar
                 lattice_values(c_values, 2, 2 * first, 2 * last + 1),
                 lattice_values(k_values, 2, 2 * first, 2 * last + 1), sys,
             )
-            psi[:size, :dim, :dim] = rk4_step(lambda j, x: a[j] @ x, np.eye(dim), h, *stages)
+            # The first stages from I and from 0 are a and f themselves.
+            psi[:size, :dim, :dim] = rk4_step(lambda j, x: a[j] @ x, np.eye(dim), h, *stages,
+                                              k1=a[stages[0]])
             forcing[:size, :dim, :dim] = rk4_step(lambda j, z: _lyapunov_rhs(a[j], z, f[j]),
-                                                  np.zeros((dim, dim)), h, *stages)
+                                                  np.zeros((dim, dim)), h, *stages,
+                                                  k1=f[stages[0]])
             for z, z_next, p, f_k in zip(bordered[first:last], bordered[first + 1:last + 1],
                                          psi, forcing):
                 np.matmul(p, z, out=work)

@@ -5,7 +5,8 @@ the full 2n x 2n Riccati equation dQ/dt = Q sE Pi^-1 sE' Q - sA' Q - Q sA
 backward from Q(tau) = Lambda with the exact, blocked Moebius solve of
 `ode.mobius_riccati`: in reversed time s = tau - t it reads
 dQ/ds = alpha Q + Q alpha' + beta - Q gamma Q with alpha = sA', beta = 0
-and gamma = sE Pi^-1 sE'.  Q2 is the bottom-left block, so
+and gamma = sE Pi^-1 sE', zero outside the live (Q3) block, so the solve is
+given A', 0 and E Pi^-1 E'.  Q2 is the bottom-left block, so
 Q = [[Q1, Q2'], [Q2, Q3]], and the blocks are slices of that solution.
 `solve_control_cascade` integrates the block cascade
 
@@ -25,7 +26,7 @@ a zero-width gain, which is kept as the uncontrolled baseline mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from .ode import (
 )
 
 
-@dataclass(frozen=True)
-class ControlSolution:
+class ControlSolution(NamedTuple):
     """Grids of control Riccati blocks, the gain c(t), and the penalty used."""
 
     times: np.ndarray
@@ -89,16 +89,17 @@ def solve_control(sys, Pi: np.ndarray, tau: float, steps: int) -> ControlSolutio
     """Solve the control Riccati equation backward over [0, tau].
 
     One Moebius pass steps the full Q exactly from Q(tau) = Lambda, and the
-    blocks Q1, Q2, Q3 are views into it.  The terminal node is assigned,
-    not stepped, so Q1(tau) = Sigma, Q2(tau) = -Sigma, Q3(tau) = Sigma hold
-    exactly.  Q is symmetrized at every node; positive semidefiniteness
-    is monitored and reported as a warning only.  Raises DivergenceError if
-    a step fails.
+    blocks Q1, Q2, Q3 are views into it; the pass takes the live block's
+    coefficients A', 0 and E Pi^-1 E' and solves n x n systems.  The
+    terminal node is assigned, not stepped, so Q1(tau) = Sigma,
+    Q2(tau) = -Sigma, Q3(tau) = Sigma hold exactly.  Q is symmetrized at
+    every node; positive semidefiniteness is monitored and reported as a
+    warning only.  Raises DivergenceError if a step fails.
     """
     Pi = np.asarray(Pi, dtype=float)
     riccati = ControlRiccati(sys, Pi)
     grid = mobius_riccati(
-        sys.sA.T, np.zeros_like(sys.sA), riccati.se_pi_set, sys.Lambda, 0.0, tau, steps,
+        riccati.a_t, np.zeros_like(sys.A), riccati.e_pi_et, sys.Lambda, 0.0, tau, steps,
         direction="backward", what="control Riccati solution",
     )
     q = grid.values

@@ -7,9 +7,11 @@ obeys the full 2n x 2n Riccati equation
           = alpha P + P alpha' + beta - P gamma P,
 
 with alpha = sA - sB D' G^-1 sC, beta = sB (I - D' G^-1 D) sB' and
-gamma = sC' G^-1 sC.  `solve_filter` steps it exactly on the grid with the
-blocked Moebius solve of `ode.mobius_riccati`, and its blocks P1, P2, P3
-(P = [[P1, P2], [P2', P3]]) are slices of that solution.  The block cascade
+gamma = sC' G^-1 sC.  The frozen initial copy makes all three zero outside
+the live (P3) block.  `solve_filter` steps it exactly on the grid with the
+blocked Moebius solve of `ode.mobius_riccati` on that live block, and its
+blocks P1, P2, P3 (P = [[P1, P2], [P2', P3]]) are slices of that solution.
+The block cascade
 
     dP1/dt = -P2 C' G^-1 C P2'
     dP2/dt =  P2 (A' - C' G^-1 (C P3 + D B'))
@@ -29,7 +31,7 @@ so G is inverted once per instance through its Cholesky factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +46,7 @@ from .ode import (
 )
 
 
-@dataclass(frozen=True)
-class FilterSolution:
+class FilterSolution(NamedTuple):
     """Grids of smoother/filter covariance blocks and the Kalman gain K(t)."""
 
     times: np.ndarray
@@ -121,20 +122,23 @@ def solve_filter(sys, cov0: np.ndarray, tau: float, steps: int) -> FilterSolutio
     """Solve the filtering Riccati equation forward over [0, tau].
 
     One Moebius pass steps the full covariance exactly from the tiled
-    initial covariance, and the blocks P1, P2, P3 are views into it.  P is
-    symmetrized at every node.  The gain schedule K(t) is stored at every
-    node.  A warning (never an error) is emitted if the covariance dips
-    below PSD tolerance anywhere.  Raises DivergenceError if a step fails.
+    initial covariance, and the blocks P1, P2, P3 are views into it.  The
+    coefficients vanish outside the live block (P3's), so the pass is given
+    alpha, beta and gamma's trailing n x n blocks and solves n x n systems,
+    with P1 and P2 as the frozen rows.  P is symmetrized at every node.
+    The gain schedule K(t) is stored at every node.  A warning (never an
+    error) is emitted if the covariance dips below PSD tolerance anywhere.
+    Raises DivergenceError if a step fails.
     """
     cov0 = np.asarray(cov0, dtype=float)
     riccati = FilterRiccati(sys)
+    n = sys.n
     grid = mobius_riccati(
-        riccati.alpha, riccati.beta, riccati.gamma, np.tile(cov0, (2, 2)), 0.0, tau, steps,
-        what="filter covariance",
+        riccati.alpha[n:, n:], riccati.beta[n:, n:], riccati.gamma[n:, n:],
+        np.tile(cov0, (2, 2)), 0.0, tau, steps, what="filter covariance",
     )
     p = grid.values
     warn_if_not_psd(p, grid.times, "filter covariance")
-    n = sys.n
     return FilterSolution(
         times=grid.times, P1=p[:, :n, :n], P2=p[:, :n, n:], P3=p[:, n:, n:],
         P_full=p, K=riccati.gain(p),
@@ -173,10 +177,11 @@ def hamiltonian_matrix(sys) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ([[alpha, beta], [gamma, -alpha']], eigenvalues) with the
     alpha, beta, gamma of FilterRiccati.  Swapping its block rows and
-    columns gives the matrix [[-alpha', gamma], [beta, alpha]] whose
-    exponential `solve_filter` steps with, so the two share the spectrum.
-    The frozen initial-copy coordinates force a zero eigenvalue of
-    algebraic multiplicity at least 2n.
+    columns gives the matrix [[-alpha', gamma], [beta, alpha]], so the two
+    share the spectrum.  The frozen initial-copy coordinates force a zero
+    eigenvalue of algebraic multiplicity at least 2n; the rest is the
+    spectrum of that matrix's live block, whose exponential `solve_filter`
+    steps with.
     """
     riccati = FilterRiccati(sys)
     h = np.block([[riccati.alpha, riccati.beta], [riccati.gamma, -riccati.alpha.T]])

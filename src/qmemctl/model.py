@@ -20,7 +20,8 @@ which is exposed as a residual for self-testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class ScenarioSpec:
         object.__setattr__(self, "mean0", np.asarray(self.mean0, dtype=float).reshape(-1))
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
+class SystemMatrices(NamedTuple):
     """Structure, dynamics and augmented matrices derived from a scenario."""
 
     n: int
@@ -88,15 +88,13 @@ class SystemMatrices:
     sE: np.ndarray
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     invariant: str
     detail: str
     residual: float = float("nan")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validate_spec; empty violation list means a valid scenario."""
 
     violations: tuple[Violation, ...] = ()
@@ -137,8 +135,10 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
     Never raises; each problem becomes a report entry with the offending
     quantity and the measured residual.  A count (n, m, d, r, s, steps) that
     is not an int or numpy integer (bools excluded) is flagged as
-    "<name> integer", and the checks that read it are skipped; so are the
-    checks that depend on a matrix with a wrong shape or a non-finite entry.
+    "<name> integer", and the checks that read it are skipped; a tau that
+    is not an int, float or numpy number (bools excluded) is flagged as
+    "tau number" and not checked further; and the checks that depend on a
+    matrix with a wrong shape or a non-finite entry are skipped.
     """
     bad: list[Violation] = []
 
@@ -165,10 +165,13 @@ def validate_spec(spec: ScenarioSpec) -> ValidationReport:
         flag("1 <= r <= m/2", f"r = {r}, m = {m}")
     if integer["s"] and integer["n"] and not (1 <= s <= n):
         flag("1 <= s <= n", f"s = {s}, n = {n}")
-    if not np.isfinite(spec.tau):
-        flag("tau finite", f"tau = {spec.tau}")
-    elif not spec.tau > 0:
-        flag("tau positive", f"tau = {spec.tau}")
+    tau = spec.tau
+    if isinstance(tau, bool) or not isinstance(tau, (int, float, np.integer, np.floating)):
+        flag("tau number", f"tau = {tau!r}")
+    elif not np.isfinite(tau):
+        flag("tau finite", f"tau = {tau}")
+    elif not tau > 0:
+        flag("tau positive", f"tau = {tau}")
     if integer["steps"] and spec.steps < 1:
         flag("steps >= 1", f"steps = {spec.steps}")
 

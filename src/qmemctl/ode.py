@@ -17,7 +17,12 @@ Two steppers share the uniform grid of `node_times`:
   P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1 (Davison & Maki, IEEE TAC
   1973), exact up to round-off for any s.  The grid is stepped a block of
   nodes at a time: one batched solve takes a block's first node to each of
-  its next B nodes through Phi(h)..Phi(B h).  `expm_minus_identity` is a
+  its next B nodes through Phi(h)..Phi(B h).  P may carry a frozen prefix,
+  leading coordinates without coefficients (the initial-point smoother's
+  copy of the initial variables): the coefficients and M are those of the
+  n x n live block, each node solves one n x n system with W, the live
+  block of (Phi11 + Phi12 P)', which the condition guard checks, and the
+  frozen rows follow by one product.  `expm_minus_identity` is a
   numpy Pade-13 scaling-and-squaring exponential (Higham, SIAM J. Matrix
   Anal. Appl. 2005).  The filter and control Riccati solves of the
   pipeline use it.
@@ -109,15 +114,17 @@ def rk4_stage_times(t0: float, t1: float, steps: int) -> np.ndarray:
     return lattice
 
 
-def rk4_step(rhs, state, h, start, mid, end):
+def rk4_step(rhs, state, h, start, mid, end, k1=None):
     """One classical RK4 step of d(state)/dt = rhs(point, state) over h.
 
     `start`, `mid` and `end` are whatever `rhs` reads for the step's start,
     midpoint and end: times in `integrate_matrix_ode`; in `closedloop`,
     slices of a block's tabulated coefficients, so that numpy broadcasting
-    takes every step of the block at once.
+    takes every step of the block at once.  `k1`, when given, is
+    rhs(start, state), known to the caller without evaluating it.
     """
-    k1 = rhs(start, state)
+    if k1 is None:
+        k1 = rhs(start, state)
     k2 = rhs(mid, state + (0.5 * h) * k1)
     k3 = rhs(mid, state + (0.5 * h) * k2)
     k4 = rhs(end, state + h * k3)
@@ -253,24 +260,36 @@ def mobius_riccati(
 ) -> TimeGrid:
     """Solve dP/dt = alpha P + P alpha' + beta - P gamma P exactly on the grid.
 
-    With Phi(s) = expm(M s), M = [[-alpha', gamma], [beta, alpha]], the map
-    P -> (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1 is the exact flow over s of
-    the constant-coefficient equation (Davison & Maki 1973).  The grid is
-    stepped a block of B nodes at a time: each block restarts from its first
-    node P_k and reaches P_{k+1}..P_{k+B} through Phi(h)..Phi(B h) in one
-    batched solve, never from a long-horizon Phi(t), whose blocks grow
-    without bound (Kenney & Leipnik 1985).  B = min(64, steps,
-    floor(0.25 / (|M|_1 h))), at least 1, so no block spans more than
-    |M h B|_1 <= 1/4 and Phi stays close to the identity over it; longer
-    spans lose accuracy on scenarios with large |M|.  Every P is symmetrized.
+    P is N x N and the coefficients n x n, N >= n: they act on P's trailing
+    n coordinates, the live block, and the leading N - n coordinates are a
+    frozen copy with no coefficients of their own (zero rows and columns of
+    the N x N alpha, beta and gamma).  With Phi(s) = expm(M s) of the live
+    Hamiltonian M = [[-alpha', gamma], [beta, alpha]], the map
+    P -> (Phi21 + Phi22 P)(Phi11 + Phi12 P)^-1 of the padded coefficients is
+    the exact flow over s of the constant-coefficient equation (Davison &
+    Maki 1973).  The grid is stepped a block of B nodes at a time: each
+    block restarts from its first node P_k and reaches P_{k+1}..P_{k+B}
+    through Phi(h)..Phi(B h) in one batched solve, never from a long-horizon
+    Phi(t), whose blocks grow without bound (Kenney & Leipnik 1985).
+    B = min(64, steps, floor(0.25 / (|M|_1 h))), at least 1, so no block
+    spans more than |M h B|_1 <= 1/4 and Phi stays close to the identity
+    over it; longer spans lose accuracy on scenarios with large |M|.  Every
+    P is symmetrized.
+
+    The padded Phi11' + P Phi12' is block upper triangular,
+    [[I, P_fl E12'], [0, W]] with E = Phi - I, W = I + E11' + P_ll E12' and
+    P_fl, P_ll the frozen and live rows of P's live columns; so each node
+    takes one n x n solve with W for the live rows of its increment and one
+    product for the frozen rows.  With N = n nothing is frozen.
 
     Parameters
     ----------
     alpha, beta, gamma : ndarray
-        Constant coefficients; beta and gamma symmetric.
+        Constant n x n coefficients of the live block; beta and gamma
+        symmetric.
     init : ndarray
-        Symmetric P at t0 for forward solves, at t1 for backward solves;
-        the first (last) node holds it exactly.
+        Symmetric N x N P at t0 for forward solves, at t1 for backward
+        solves; the first (last) node holds it exactly.
     direction : "forward" | "backward"
         Backward solves take the coefficients of the equation in reversed
         time s = t0 + t1 - t and step from t1 down to t0; the returned grid
@@ -281,19 +300,28 @@ def mobius_riccati(
     Raises
     ------
     ValueError
-        If steps < 1, t1 <= t0 or the direction is unknown.
+        If steps < 1, t1 <= t0, the direction is unknown, the coefficients
+        are not all n x n or init is not N x N with N >= n.
     DivergenceError
-        If a state stops being finite, or a node's Phi11 + Phi12 P is
-        singular or has condition number above MOBIUS_COND_LIMIT, naming
-        the step and time.  A block whose batched solve fails is stepped
-        again one node at a time, so the step named is the one a per-node
-        solve names.
+        If a state stops being finite, or a node's W (all of
+        (Phi11 + Phi12 P)' when nothing is frozen) is singular or has
+        condition number above MOBIUS_COND_LIMIT, naming the step and time.
+        A block whose batched solve fails is stepped again one node at a
+        time, so the step named is the one a per-node solve names.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
+    n = np.shape(alpha)[0]
+    size = np.shape(init)[-1]
+    if (any(np.shape(c) != (n, n) for c in (alpha, beta, gamma))
+            or np.shape(init) != (size, size) or size < n):
+        raise ValueError(
+            f"need n x n alpha, beta, gamma and an N x N init with N >= n, got "
+            f"{np.shape(alpha)}, {np.shape(beta)}, {np.shape(gamma)} and {np.shape(init)}"
+        )
     times = node_times(t0, t1, steps)
     clock = times if direction == "forward" else (t0 + t1) - times
-    n = np.shape(init)[-1]
+    frozen = size - n
     h = (t1 - t0) / steps
     m = np.block([[-alpha.T, gamma], [beta, alpha]])
     block = min(_MOBIUS_BLOCK, steps)
@@ -302,54 +330,67 @@ def mobius_riccati(
         block = max(1, int(0.25 / reach))
     e = np.stack([expm_minus_identity(m * (j * h)) for j in range(1, block + 1)])
     # The span of j steps from P, in increment form, transposed: with
-    # E_j = Phi(j h) - I, X_j' = I + E11' + P E12' and
-    # P_j' = P + X_j'^-1 (E21' + P E22' - (X_j' - I) P), so a short span adds a
-    # small increment to P instead of rebuilding it.
-    e_head = np.concatenate([e[:, :n, :n], e[:, n:, :n]], axis=1).swapaxes(1, 2)
-    e_tail = np.concatenate([e[:, :n, n:], e[:, n:, n:]], axis=1).swapaxes(1, 2)
+    # E_j = Phi(j h) - I of the padded coefficients, X_j' = I + E11' + P E12'
+    # and P_j' = P + X_j'^-1 (E21' + P E22' - (X_j' - I) P), so a short span
+    # adds a small increment to P instead of rebuilding it.  Only the live
+    # columns of X_j' - I are nonzero; the rows [those columns, Y_j' - P] of
+    # each span are e_head + P e_tail, from the live E_j's blocks padded with
+    # zeros for the frozen coordinates.
+    e_t = e.swapaxes(1, 2)
+    e_head = np.zeros((block, size, n + size))
+    e_head[:, frozen:, :n] = e_t[:, :n, :n]
+    e_head[:, frozen:, n + frozen:] = e_t[:, :n, n:]
+    e_tail = np.zeros((block, n, n + size))
+    e_tail[:, :, :n] = e_t[:, n:, :n]
+    e_tail[:, :, n + frozen:] = e_t[:, n:, n:]
     ident = np.eye(n)
-    values = np.empty((steps + 1, n, n))
+    grid = np.empty((steps + 1, size, size))
+    # Nodes in stepping order; a backward solve fills the ascending grid from its end.
+    values = grid if direction == "forward" else grid[::-1]
     values[0] = init
-    x_minus_i = np.empty((steps, n, n))  # X' - I of every node, for the condition guard
+    w_minus_i = np.empty((steps, n, n))  # W - I of every node, for the condition guard
 
     def fail(k, reason):
         return DivergenceError(
             f"{what}: {reason} at step {k + 1} of {steps} (t = {clock[k + 1]:.6g})"
         )
 
-    def step(k, size):
-        """Nodes k+1..k+size from node k; the reason it failed, or None."""
-        state, x_mi, nodes = values[k], x_minus_i[k:k + size], values[k + 1:k + size + 1]
-        rows = e_head[:size] + state @ e_tail[:size]  # [X_j' - I, Y_j' - P]
-        x_mi[...] = rows[:, :, :n]
+    def step(k, span):
+        """Nodes k+1..k+span from node k; the reason it failed, or None."""
+        state, w_mi, nodes = values[k], w_minus_i[k:k + span], values[k + 1:k + span + 1]
+        rows = e_head[:span] + state[:, frozen:] @ e_tail[:span]
+        x_mi = rows[:, :, :n]
+        w_mi[...] = x_mi[:, frozen:]
+        # X_j' (P_j - P)' = Y_j' - X_j' P, solved for the live rows with W and
+        # then for the frozen rows, and P_j is symmetric.
+        delta = rows[:, :, n:] - x_mi @ state[frozen:]
         try:
-            # X_j' (P_j - P)' = Y_j' - X_j' P, and P_j is symmetric.
-            new = state + np.linalg.solve(x_mi + ident, rows[:, :, n:] - x_mi @ state)
+            delta[:, frozen:] = np.linalg.solve(w_mi + ident, delta[:, frozen:])
         except np.linalg.LinAlgError:
             return "singular Phi11 + Phi12 P"
+        delta[:, :frozen] -= x_mi[:, :frozen] @ delta[:, frozen:]
+        new = state + delta
         nodes[...] = 0.5 * (new + new.swapaxes(1, 2))
         return None if np.isfinite(nodes).all() else "non-finite state"
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(0, steps, block):
-            size = min(block, steps - k)
-            if step(k, size) is None:
+            span = min(block, steps - k)
+            if step(k, span) is None:
                 continue
-            for j in range(k, k + size):
+            for j in range(k, k + span):
                 reason = step(j, 1)
                 if reason is not None:
                     raise fail(j, reason)
-    # A 1-norm d = |X' - I| < 1 bounds cond(X') by (1 + d) / (1 - d) (Neumann
+    # A 1-norm d = |W - I| < 1 bounds cond(W) by (1 + d) / (1 - d) (Neumann
     # series), so only nodes with d >= 1/2 have their condition number computed.
-    far = np.nonzero(~(np.linalg.norm(x_minus_i, 1, axis=(1, 2)) < 0.5))[0]
-    cond = np.linalg.cond(x_minus_i[far] + ident, 1)
+    far = np.nonzero(~(np.linalg.norm(w_minus_i, 1, axis=(1, 2)) < 0.5))[0]
+    cond = np.linalg.cond(w_minus_i[far] + ident, 1)
     bad = np.nonzero(~(cond <= MOBIUS_COND_LIMIT))[0]
     if bad.size:
         k, worst = int(far[bad[0]]), cond[bad[0]]
         raise fail(k, f"cond(Phi11 + Phi12 P) = {worst:.3e} exceeds {MOBIUS_COND_LIMIT:.0e}")
-    if direction == "backward":
-        values = values[::-1].copy()
-    return TimeGrid(times, values)
+    return TimeGrid(times, grid)
 
 
 def lattice_values(values: np.ndarray, sub: int, lo: int, hi: int) -> np.ndarray:

@@ -6,16 +6,17 @@ identity and decoherence time, then the Monte Carlo oracle) and returns one
 `Run`.  It is `execute(prepare(...))`: `prepare` refuses a bad option before
 any Riccati solve, and the CLI creates its output directory between the two.
 Each stage is called through its module attribute (filtering.solve_filter),
-so a caller that replaces the attribute sees every call.
+so a caller that replaces the attribute sees every call.  The Monte Carlo
+oracle is imported only by the commands that sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import checks, closedloop, control, filtering, model, montecarlo
+from . import checks, closedloop, control, filtering, model
 from .errors import PipelineError, QmemctlError
 
 DEFAULT_PATHS = 10_000
@@ -49,8 +50,7 @@ def _t0(spec: model.ScenarioSpec) -> np.ndarray:
     return np.kron(np.ones((2, 2)), np.outer(spec.mean0, spec.mean0))
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A command with the options it uses resolved and checked; only `sys` is solved."""
 
     spec: model.ScenarioSpec
@@ -63,8 +63,7 @@ class Plan:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """The stages a command reached (None where it did not), and for the commands
     past the closed loop the qmemctl.checks entries and the summary.json dict."""
 
@@ -100,6 +99,7 @@ def prepare(spec: model.ScenarioSpec, command: str, *, paths=None, seed=None,
     if command in _SAMPLED:
         paths = DEFAULT_PATHS if paths is None else paths
         seed = DEFAULT_SEED if seed is None else seed
+        from . import montecarlo
         stage("montecarlo", montecarlo.check_ensemble, paths, seed)
         options.update(paths=paths, seed=seed)
     return Plan(spec, command, sys_m, **options)
@@ -157,6 +157,7 @@ def execute(plan: Plan) -> Run:
 
     moments = rows = None
     if command in _SAMPLED:
+        from . import montecarlo
         gains = montecarlo.gain_schedule(filt, ctrl)
         moments = stage("montecarlo", montecarlo.simulate_ensemble,
                         sys_m, gains, spec.mean0, spec.cov0, plan.paths, plan.seed)

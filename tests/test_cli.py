@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmemctl import ScenarioFormatError, checks, filtering, montecarlo, pipeline
+from qmemctl import (
+    ScenarioFormatError, checks, closedloop, control, filtering, model, montecarlo, pipeline,
+)
 from qmemctl.cli import load_scenario, main
 
 REFERENCE = {
@@ -378,8 +380,8 @@ def test_csv_rows_format_like_fmt(tmp_path):
     assert lines[1] == "nan,inf,-inf,-0,4.9406564584124654e-324,1e+308,0.10000000000000001"
 
 
-def _modules_after_cli_import(package: str) -> list[str]:
-    """Modules of `package` loaded by `import qmemctl.cli` in a fresh interpreter."""
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter that imports this qmemctl."""
     import os
     import subprocess
     import sys
@@ -389,11 +391,19 @@ def _modules_after_cli_import(package: str) -> list[str]:
     src = str(Path(qmemctl.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, qmemctl.cli; print(*sorted(m for m in sys.modules "
-            f"if m == {package!r} or m.startswith({package + '.'!r})))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    return result.stdout.split()
+    return result.stdout
+
+
+def _modules_after_cli_import(package: str, argv: list[str] | None = None) -> list[str]:
+    """Modules of `package` loaded by `import qmemctl.cli` in a fresh interpreter,
+    followed by `qmemctl.cli.main(argv)` when argv is given."""
+    run = "" if argv is None else f"qmemctl.cli.main({argv!r}); "
+    out = _fresh_interpreter(
+        f"import sys, qmemctl.cli; {run}print(*sorted(m for m in sys.modules "
+        f"if m == {package!r} or m.startswith({package + '.'!r})))")
+    return out.splitlines()[-1].split()  # the last line: the CLI prints before it
 
 
 def test_cli_import_loads_no_scipy():
@@ -404,3 +414,52 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_numpy_random():
     """numpy.random is loaded only when a Monte Carlo run builds its generators."""
     assert _modules_after_cli_import("numpy.random") == []
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("filter", []), ("simulate", []), ("decoherence", []),
+    ("montecarlo", ["qmemctl.montecarlo"]), ("full", ["qmemctl.montecarlo"]),
+])
+def test_only_sampling_commands_load_the_oracle(tmp_path, command, loaded):
+    argv = [command, "--scenario", str(write_scenario(tmp_path / "s.json")),
+            "--steps", "40", "--paths", "50", "--out", str(tmp_path / "out")]
+    assert _modules_after_cli_import("qmemctl.montecarlo", argv) == loaded
+    assert (tmp_path / "out").is_dir()
+
+
+def test_oracle_names_resolve_from_the_package():
+    # The package exports the oracle's names without importing it first.
+    out = _fresh_interpreter(
+        "import sys, qmemctl\n"
+        "print('qmemctl.montecarlo' in sys.modules)\n"
+        "simulate = qmemctl.simulate_ensemble\n"
+        "from qmemctl import montecarlo\n"
+        "print(simulate is montecarlo.simulate_ensemble)\n"
+        "try:\n"
+        "    qmemctl.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert out.splitlines() == ["False", "True",
+                                "module 'qmemctl' has no attribute 'no_such_name'"]
+    import qmemctl
+    for name in ("GainSchedule", "SampleMoments", "checkpoint_nodes", "cross_moment_check",
+                 "derive_path_seed", "gain_schedule", "psd_sqrt", "simulate_ensemble"):
+        assert getattr(qmemctl, name) is getattr(montecarlo, name)
+
+
+def test_records_keep_their_fields_in_order():
+    assert model.SystemMatrices._fields == (
+        "n", "m", "d", "r", "s", "Theta", "J", "A", "B", "E", "C", "D", "G", "Sigma",
+        "Lambda", "sA", "sB", "sC", "sE")
+    assert model.Violation._fields == ("invariant", "detail", "residual")
+    assert model.ValidationReport._fields == ("violations",)
+    assert filtering.FilterSolution._fields == ("times", "P1", "P2", "P3", "P_full", "K")
+    assert control.ControlSolution._fields == ("times", "Q1", "Q2", "Q3", "Q_full", "c", "Pi")
+    assert closedloop.ClosedLoopSolution._fields == (
+        "times", "T", "Delta", "Phi", "H_pont", "x_mean")
+    assert pipeline.Plan._fields == (
+        "spec", "command", "sys", "epsilon", "phi_star", "threshold", "paths", "seed")
+    assert pipeline.Run._fields == (
+        "sys", "filter", "control", "closed", "moments", "rows", "gates", "summary")
+    assert model.ValidationReport().ok and model.ValidationReport().violations == ()
+    assert np.isnan(model.Violation("x", "y").residual)

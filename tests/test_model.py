@@ -156,6 +156,19 @@ class TestValidate:
         with pytest.raises(InvalidScenarioError, match="tau finite"):
             derive_system_matrices(spec)
 
+    @pytest.mark.parametrize("tau", ["5", None, True, np.bool_(True), [5.0]],
+                             ids=["str", "None", "True", "numpy_bool", "list"])
+    def test_non_number_tau_reported_not_raised(self, tau):
+        spec = _spec(tau=tau)
+        assert [v.invariant for v in validate_spec(spec).violations] == ["tau number"]
+        with pytest.raises(InvalidScenarioError, match="tau number"):
+            derive_system_matrices(spec)
+
+    @pytest.mark.parametrize("tau", [5, np.float32(5.0), np.int64(5)],
+                             ids=["int", "float32", "int64"])
+    def test_numeric_tau_types_accepted(self, tau):
+        assert validate_spec(_spec(tau=tau)).ok
+
 
 class TestPhysicalRealizability:
     def test_valid_scenarios_have_zero_residual(self, scenario_factory):

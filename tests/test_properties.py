@@ -95,6 +95,29 @@ def test_feedback_gain_equals_solver_gain(case):
     _assert_close(ControlRiccati(sys_m, spec.Pi).gain(q2s, q3s), per_node)
 
 
+def _outside_live_block(coefficient, n):
+    """The rows and columns of the frozen initial copy (the leading n)."""
+    return np.concatenate([coefficient[:n].ravel(), coefficient[n:, :n].ravel()])
+
+
+@deterministic
+@given(cases)
+def test_riccati_coefficients_vanish_outside_the_live_block(case):
+    # The frozen initial copy has no dynamics of its own: the 2n x 2n
+    # coefficients of both Riccati equations are exactly zero on its rows
+    # and columns, which is what lets mobius_riccati step the live block
+    # alone, and the control solve's live coefficients are A' and E Pi^-1 E'.
+    spec, sys_m, *_ = _draw(case)
+    n = sys_m.n
+    filt = FilterRiccati(sys_m)
+    ctrl = ControlRiccati(sys_m, spec.Pi)
+    for coefficient in (filt.alpha, filt.beta, filt.gamma, sys_m.sA.T, ctrl.se_pi_set):
+        assert coefficient.shape == (2 * n, 2 * n)
+        assert not _outside_live_block(coefficient, n).any()
+    _assert_close(ctrl.a_t, sys_m.sA.T[n:, n:])
+    _assert_close(ctrl.e_pi_et, ctrl.se_pi_set[n:, n:])
+
+
 def _solutions(spec, sys_m, steps):
     filt = solve_filter(sys_m, spec.cov0, spec.tau, steps)
     ctrl = solve_control(sys_m, spec.Pi, spec.tau, steps)
@@ -103,7 +126,7 @@ def _solutions(spec, sys_m, steps):
 
 # Both grids step exactly, so they differ by round-off alone.  Round-off is
 # amplified by some scenarios: on seed 5 at n = 8, m = 4 a perturbation of Q
-# near tau grows 2.8e5-fold by t = 0, and the two grids differ by 4.8e-11, the
+# near tau grows 2.8e5-fold by t = 0, and the two grids differ by 2.4e-11, the
 # largest gap of the 80 draws.  The PSD bound scales with the solution, as
 # the monitor's tolerance PSD_WARN_TOL (1 + max |Q|) does: on seed 8 at n = 8,
 # m = 4, max |Q| is 5.4e8 and the round-off eigenvalue is -1.1e-7.
@@ -125,7 +148,7 @@ def test_riccati_solutions_are_exact_on_random_scenarios(n, m):
             assert min_eig >= -1e-12 * scale, (name, seed, min_eig / scale)
 
 
-# The largest gap over the 80 draws is 5.6e-14.
+# The largest gap over the 80 draws is 6.8e-14.
 @pytest.mark.parametrize("m", [2, 4])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_blocked_riccati_solve_matches_per_node_solve(n, m, monkeypatch):
